@@ -75,7 +75,11 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
 def satisfies_system(
     system: ConstraintSystem, interp: Interpretation, assignment: Assignment
 ) -> bool:
-    """Check every constraint of the system against (interp, assignment)."""
+    """Check every constraint of the system against (interp, assignment),
+    and that distinct individuals get distinct elements (unique names)."""
+    individuals = system.individuals()
+    if len({assignment.of(a) for a in individuals}) < len(individuals):
+        return False
     for c in system.constraints:
         if isinstance(c, Member):
             if assignment.of(c.obj) not in eval_concept(interp, c.concept):

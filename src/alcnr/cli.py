@@ -16,8 +16,8 @@ from .semantics import (
     parse_interpretation, render_interpretation,
 )
 from .services import (
-    UnknownIndividualError, Verdict, augment_for_concept_sat,
-    augment_for_instance, augment_for_subsumption, instance_of, kb_satisfiable,
+    Verdict, augment_for_concept_sat, augment_for_instance,
+    augment_for_subsumption, instance_checks, kb_satisfiable,
 )
 from .syntax import KnowledgeBase, ParseError, parse_concept, parse_kb, render_kb
 from .tableau import Guards, Trace
@@ -129,8 +129,40 @@ def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
     return verdict, ok
 
 
-_STATUS_EXIT = {"sat": 0, "unsat": 1, "unknown": 2}
-_BOOL_TEXT = {True: "true", False: "false", None: "UNKNOWN"}
+# status -> (answer text, exit code), for satisfiability and truth questions
+_SAT_ANSWERS = {"sat": ("SAT", 0), "unsat": ("UNSAT", 1), "unknown": ("UNKNOWN", 2)}
+_TRUTH_ANSWERS = {"sat": ("false", 1), "unsat": ("true", 0), "unknown": ("UNKNOWN", 2)}
+
+
+def _goal(kb: KnowledgeBase, args) -> KnowledgeBase:
+    """The KB whose satisfiability answers the command's question."""
+    if args.command == "concept-sat":
+        return augment_for_concept_sat(kb, parse_concept(args.concept))
+    if args.command == "subsumes":
+        return augment_for_subsumption(kb, parse_concept(args.c), parse_concept(args.d))
+    if args.command == "instance":
+        return augment_for_instance(kb, args.a, parse_concept(args.concept))
+    return kb
+
+
+def _report(args, verdict: Verdict, oracle_ok: bool, stdout, stderr) -> int:
+    """Print the command's answer; returns the exit code."""
+    answers = _TRUTH_ANSWERS if args.command in ("subsumes", "instance") else _SAT_ANSWERS
+    text, code = answers[verdict.status]
+    if args.command == "model":
+        if not oracle_ok:
+            return 4
+        if verdict.status == "sat":
+            stdout.write(render_interpretation(verdict.interpretation))
+        else:
+            print(text, file=stderr)
+        return code
+    if args.command == "trace":
+        for line in verdict.trace.lines():
+            print(line, file=stdout)
+        text = f"result: {text}"
+    print(text, file=stdout)
+    return code if oracle_ok else 4
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -145,42 +177,12 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
     try:
         kb = parse_kb(_read_text(args.kb, stdin))
-        if args.command == "check-sat":
-            verdict, ok = _decide(kb, args, stderr)
-            print({"sat": "SAT", "unsat": "UNSAT", "unknown": "UNKNOWN"}[verdict.status],
-                  file=stdout)
-            return 4 if not ok else _STATUS_EXIT[verdict.status]
-
-        if args.command == "concept-sat":
-            goal = augment_for_concept_sat(kb, parse_concept(args.concept))
-            verdict, ok = _decide(goal, args, stderr)
-            print({"sat": "SAT", "unsat": "UNSAT", "unknown": "UNKNOWN"}[verdict.status],
-                  file=stdout)
-            return 4 if not ok else _STATUS_EXIT[verdict.status]
-
-        if args.command == "subsumes":
-            goal = augment_for_subsumption(kb, parse_concept(args.c), parse_concept(args.d))
-            verdict, ok = _decide(goal, args, stderr)
-            value = None if verdict.status == "unknown" else verdict.status == "unsat"
-            print(_BOOL_TEXT[value], file=stdout)
-            return 4 if not ok else (2 if value is None else (0 if value else 1))
-
-        if args.command == "instance":
-            goal = augment_for_instance(kb, args.a, parse_concept(args.concept))
-            verdict, ok = _decide(goal, args, stderr)
-            value = None if verdict.status == "unknown" else verdict.status == "unsat"
-            print(_BOOL_TEXT[value], file=stdout)
-            return 4 if not ok else (2 if value is None else (0 if value else 1))
-
         if args.command == "instances":
-            concept = parse_concept(args.concept)
-            unknowns = []
-            for a in sorted(kb.individuals()):
-                truth = instance_of(kb, a, concept, _guards(args))
-                if truth.value is None:
-                    unknowns.append(a)
-                elif truth.value:
+            checks = instance_checks(kb, parse_concept(args.concept), _guards(args))
+            for a, truth in checks.items():
+                if truth.value:
                     print(a, file=stdout)
+            unknowns = [a for a, truth in checks.items() if truth.value is None]
             if unknowns:
                 print("inconclusive for: " + " ".join(unknowns), file=stderr)
                 return 2
@@ -190,36 +192,16 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             stdout.write(render_kb(inclusions_to_introduction(kb)))
             return 0
 
-        if args.command == "model":
-            verdict, ok = _decide(kb, args, stderr)
-            if not ok:
-                return 4
-            if verdict.status == "sat":
-                stdout.write(render_interpretation(verdict.interpretation))
-                return 0
-            print({"unsat": "UNSAT", "unknown": "UNKNOWN"}[verdict.status], file=stderr)
-            return _STATUS_EXIT[verdict.status]
-
-        if args.command == "trace":
-            verdict, ok = _decide(kb, args, stderr)
-            for line in verdict.trace.lines():
-                print(line, file=stdout)
-            print({"sat": "result: SAT", "unsat": "result: UNSAT",
-                   "unknown": "result: UNKNOWN"}[verdict.status], file=stdout)
-            return 4 if not ok else _STATUS_EXIT[verdict.status]
-
         if args.command == "check-model":
             interp = parse_interpretation(_read_text(args.model_file, stdin))
             good = is_model(interp, kb)
             print("ok" if good else "invalid", file=stdout)
             return 0 if good else 1
 
-        raise AssertionError(f"unhandled command {args.command!r}")
+        verdict, ok = _decide(_goal(kb, args), args, stderr)
+        return _report(args, verdict, ok, stdout, stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
-        return 3
-    except UnknownIndividualError as exc:
-        print(f"error: {exc}", file=stderr)
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)

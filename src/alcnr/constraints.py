@@ -8,6 +8,9 @@ ordered variables):
     forall : C   every object must satisfy C (one per TBox inclusion)
     s != t       the objects must denote distinct elements
 
+Two individuals are separated without any stored `!=` (unique name
+assumption); the stored ones come from the atleast rule and merges.
+
 Variables carry a creation index realizing the processing order: a fresh
 variable is always ordered after every existing one.  Systems are immutable;
 rule applications build extended copies, which keeps search branches
@@ -261,6 +264,8 @@ class ConstraintSystem:
         return bool(self._links_out.get(o))
 
     def separated(self, a: Object, b: Object) -> bool:
+        if isinstance(a, Ind) and isinstance(b, Ind):
+            return a != b
         if object_key(a) > object_key(b):
             a, b = b, a
         return (a, b) in self._distinct
@@ -418,24 +423,20 @@ def translate_kb(kb: KnowledgeBase) -> ConstraintSystem:
     """Build the initial constraint system of a knowledge base.
 
     Each inclusion C <= D becomes a global constraint on the simple form of
-    (not C) or D; assertions become memberships and role links; every pair of
-    ABox individuals is separated (unique name assumption).  A KB with an
-    empty ABox gets one auxiliary individual asserted to TOP so the system is
-    nonempty.
+    (not C) or D; assertions become memberships and role links.  No `!=` is
+    emitted between individuals: `separated` holds for every pair of them
+    (unique name assumption).  A KB with an empty ABox gets one auxiliary
+    individual asserted to TOP so the system is nonempty.
     """
     constraints: set[Constraint] = set()
     for inc in kb.tbox:
         constraints.add(Global(to_simple_form(Or(Not(inc.lhs), inc.rhs))))
-    inds = sorted(kb.individuals())
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
             constraints.add(Member(Ind(a.individual), to_simple_form(a.concept)))
         else:
             for p in a.role.names:
                 constraints.add(RoleLink(Ind(a.subject), p, Ind(a.target)))
-    for i, a in enumerate(inds):
-        for b in inds[i + 1:]:
-            constraints.add(Distinct(Ind(a), Ind(b)))
-    if not inds:
+    if not kb.abox:
         constraints.add(Member(Ind(AUX_INDIVIDUAL), TOP))
     return ConstraintSystem(frozenset(constraints), 0, kb)

@@ -124,13 +124,19 @@ def instance_of(
     return TruthVerdict(v.status == "unsat")
 
 
+def instance_checks(
+    kb: KnowledgeBase, c: Concept, guards: Guards | None = None
+) -> dict[str, TruthVerdict]:
+    """instance_of for every individual of kb, checked one after another, in
+    name order."""
+    return {a: instance_of(kb, a, c, guards) for a in sorted(kb.individuals())}
+
+
 def instances(
     kb: KnowledgeBase, c: Concept, guards: Guards | None = None
 ) -> frozenset[str]:
-    """The individuals provably in c (parallel instance checks); individuals
-    whose check hits a guard are omitted."""
-    members = set()
-    for a in sorted(kb.individuals()):
-        if instance_of(kb, a, c, guards).value:
-            members.add(a)
-    return frozenset(members)
+    """The individuals provably in c; individuals whose check hits a guard
+    are omitted (instance_checks reports them as UNKNOWN)."""
+    return frozenset(
+        a for a, truth in instance_checks(kb, c, guards).items() if truth.value
+    )

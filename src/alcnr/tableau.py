@@ -166,29 +166,15 @@ def _has_separated_clique(system: ConstraintSystem, objs: list[Object], size: in
 def _merge_pairs(system: ConstraintSystem, successors: list[Object]) -> tuple:
     """Canonical (remove, keep) choices among non-separated successor pairs.
 
-    Only variables can be substituted away; for a variable/variable pair the
-    later-created one is removed, keeping labels of earlier variables stable.
+    Only variables can be substituted away.  Successors come in object order
+    and two individuals are always separated (unique names), so the later
+    object of a pair is a variable, and it is the one removed: this keeps
+    the labels of earlier variables stable.
     """
-    pairs = []
-    for i, a in enumerate(successors):
-        for b in successors[i + 1:]:
-            if system.separated(a, b):
-                continue
-            if isinstance(a, Var) and isinstance(b, Var):
-                pairs.append((b, a) if b.index > a.index else (a, b))
-            elif isinstance(a, Var):
-                pairs.append((a, b))
-            elif isinstance(b, Var):
-                pairs.append((b, a))
-            # two non-separated individuals cannot occur: the translation
-            # separates every ABox pair
-    seen = set()
-    out = []
-    for p in pairs:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return tuple(out)
+    return tuple(
+        (b, a) for i, a in enumerate(successors) for b in successors[i + 1:]
+        if not system.separated(a, b)
+    )
 
 
 def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInstance]:
@@ -371,33 +357,46 @@ class _Searcher:
             self.trace.emit(f"clash: {clash.kind} on {object_str(clash.obj)}")
             return None
         snapshots: dict[int, frozenset] | None = {} if self.guards.debug_checks else None
-        return self._search(system, snapshots)
-
-    def _search(self, system, snapshots) -> ConstraintSystem | None:
+        # Choice points [system, branching instance, next choice, snapshots].
+        # After a clash `system` is None, and the innermost choice point with
+        # an untried choice resumes; the search fails once none is left.
+        stack: list[list] = []
         while True:
-            inst = first_rule_instance(system)
-            if inst is None:
-                return self._completion(system)
-            if inst.rule in BRANCHING_RULES:
-                k = len(inst.choices)
-                for i in range(k):
-                    self.branches += 1
-                    if self.branches > self.guards.max_branches:
-                        raise _GuardStop("max-branches")
-                    nxt, added = _apply(system, inst, i)
-                    clashed = self._step(nxt, added, inst, i, k)
-                    if clashed:
-                        continue
-                    sub_snap = self._checked(system, nxt, inst, snapshots)
-                    found = self._search(nxt, sub_snap)
-                    if found is not None:
-                        return found
-                return None
-            nxt, added = _apply(system, inst, None)
-            clashed = self._step(nxt, added, inst, None, None)
-            if clashed:
-                return None
-            snapshots = self._checked(system, nxt, inst, snapshots)
+            if system is None:
+                while stack and stack[-1][2] == len(stack[-1][1].choices):
+                    stack.pop()
+                if not stack:
+                    return None
+                point = stack[-1]
+                base, inst, i, base_snapshots = point
+                point[2] = i + 1
+            else:
+                inst = first_rule_instance(system)
+                if inst is None:
+                    return self._completion(system)
+                base, base_snapshots = system, snapshots
+                i = None
+                if inst.rule in BRANCHING_RULES:
+                    stack.append([system, inst, 1, snapshots])
+                    i = 0
+            if i is not None:
+                self.branches += 1
+                if self.branches > self.guards.max_branches:
+                    raise _GuardStop("max-branches")
+            elif inst.rule == RULE_ATLEAST:
+                # size guards before the k variables and k(k-1)/2 pairs are
+                # built; every constraint the rule adds is new, so it is exact
+                c = inst.constraint.concept
+                k = c.count
+                self._check_sizes(
+                    base.next_var_index + k,
+                    len(base.constraints) + k * len(c.role.names) + k * (k - 1) // 2,
+                )
+            nxt, added = _apply(base, inst, i)
+            if self._step(nxt, added, inst, i):
+                system = None
+                continue
+            snapshots = self._checked(base, nxt, inst, base_snapshots)
             system = nxt
 
     def _completion(self, system: ConstraintSystem) -> ConstraintSystem:
@@ -411,13 +410,16 @@ class _Searcher:
                 self.trace.emit(f"blocked on {object_str(v)} | witness: {object_str(w)}")
         return system
 
-    def _step(self, new, added, inst, i, k) -> ClashReport | None:
+    def _check_sizes(self, next_var_index: int, constraint_count: int) -> None:
+        if next_var_index > self.guards.max_variables:
+            raise _GuardStop("max-variables")
+        if constraint_count > self.guards.max_constraints:
+            raise _GuardStop("max-constraints")
+
+    def _step(self, new, added, inst, i) -> ClashReport | None:
         """Guard checks, targeted clash check, and the trace line for one
         application; returns the clash, if any."""
-        if new.next_var_index > self.guards.max_variables:
-            raise _GuardStop("max-variables")
-        if len(new.constraints) > self.guards.max_constraints:
-            raise _GuardStop("max-constraints")
+        self._check_sizes(new.next_var_index, len(new.constraints))
         if inst.rule == RULE_ATMOST:
             clash = detect_clash(new)
         else:
@@ -432,7 +434,7 @@ class _Searcher:
             parts = [f"{inst.rule} on {object_str(inst.target)}: "
                      f"{constraint_str(inst.constraint)}"]
             if i is not None:
-                parts.append(f"choice {i + 1}/{k}")
+                parts.append(f"choice {i + 1}/{len(inst.choices)}")
             if inst.rule == RULE_ATMOST:
                 y, t = inst.choices[i]
                 parts.append(f"| subst: {object_str(y)} -> {object_str(t)}")
@@ -497,9 +499,6 @@ def complete(
     except _GuardStop as stop:
         trace.emit(f"guard: {stop.which}")
         return CompletionResult("resource-exceeded", None, trace, stop.which)
-    except RecursionError:
-        trace.emit("guard: recursion-depth")
-        return CompletionResult("resource-exceeded", None, trace, "recursion-depth")
     if completion is None:
         return CompletionResult("unsat", None, trace)
     return CompletionResult("sat", completion, trace)

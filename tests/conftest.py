@@ -10,7 +10,7 @@ for p in (str(_HERE.parent / "src"), str(_HERE)):
 import pytest
 
 from alcnr import (
-    All, ConstraintSystem, Distinct, Global, Ind, Interpretation, Member,
+    All, ConstraintSystem, Global, Ind, Interpretation, Member,
     Name, Not, Or, RoleLink, Some, Var, parse_kb, role,
 )
 from alcnr.cli import run
@@ -102,7 +102,6 @@ def _ex33_pieces():
         RoleLink(peter, "FRIEND", susan),
         Member(peter, All(friend, Not(italian))),
         Member(susan, some_fi),
-        Distinct(peter, susan),
     }
     return italian, some_fi, disj, peter, susan, x, y, base
 

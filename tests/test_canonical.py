@@ -1,8 +1,8 @@
 import pytest
 
 from alcnr import (
-    Guards, Var, complete, extract_model, is_model, parse_kb, satisfies_system,
-    translate_kb,
+    Assignment, Guards, Var, complete, extract_model, is_model, parse_kb,
+    satisfies_system, translate_kb,
 )
 from alcnr.constraints import Ind
 from _generators import random_kbs
@@ -87,3 +87,10 @@ class TestSelfCheck:
         interp, _ = extract_model(result.completion)
         values = list(interp.individuals.values())
         assert len(values) == len(set(values))
+
+    def test_self_check_rejects_merged_individuals(self, kb21):
+        result = complete(translate_kb(kb21))
+        interp, assignment = extract_model(result.completion)
+        assert satisfies_system(result.completion, interp, assignment)
+        merged = Assignment({**assignment.mapping, Ind("cs156"): assignment.of(Ind("john"))})
+        assert not satisfies_system(result.completion, interp, merged)

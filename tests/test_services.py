@@ -2,8 +2,9 @@ import pytest
 
 from alcnr import (
     And, AtMost, BOTTOM, ConceptAssertion, Guards, KnowledgeBase, Name, Not,
-    Some, TOP, UnknownIndividualError, concept_satisfiable, instance_of,
-    instances, is_model, kb_satisfiable, parse_kb, role, subsumed_by,
+    Some, TOP, TruthVerdict, UnknownIndividualError, concept_satisfiable,
+    instance_checks, instance_of, instances, is_model, kb_satisfiable,
+    parse_kb, role, subsumed_by,
 )
 from alcnr.services import augment_for_concept_sat, augment_for_instance
 from _generators import random_kbs
@@ -87,6 +88,13 @@ class TestInstanceChecking:
         assert instances(kb21, Name("Student"), GUARDS) == frozenset({"john"})
         assert instances(kb21, TOP, GUARDS) == kb21.individuals()
         assert instances(kb21, BOTTOM, GUARDS) == frozenset()
+
+    def test_instance_checks_report_every_individual(self, kb21):
+        checks = instance_checks(kb21, Name("Student"))
+        assert checks == {"cs156": TruthVerdict(False), "john": TruthVerdict(True)}
+        tight = instance_checks(kb21, Name("Student"), Guards(max_branches=1))
+        assert tight["john"] == TruthVerdict(None, "max-branches")
+        assert instances(kb21, Name("Student"), Guards(max_branches=1)) == frozenset()
 
 
 class TestDuality:

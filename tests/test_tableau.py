@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -232,6 +233,34 @@ class TestComplete:
         assert complete(translate_kb(kb), Guards(debug_checks=True)).status == "unsat"
         relaxed = parse_kb("(instance a (and (atleast 2 (and R S)) (atmost 2 R)))")
         assert complete(translate_kb(relaxed), Guards(debug_checks=True)).status == "sat"
+
+    def test_atleast_guards_fire_before_the_allocation(self):
+        import tracemalloc
+
+        def run(count, guards):
+            system = translate_kb(parse_kb(f"(instance a (atleast {count} R))"))
+            tracemalloc.start()
+            try:
+                result = complete(system, guards, Trace(limit=None))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5_000_000
+            return result.guard, result.trace.lines()[-1]
+
+        # 1200 variables and 719,400 pairs: the variable guard is checked first
+        assert run(1200, Guards()) == ("max-variables", "step 1: guard: max-variables")
+        assert run(1200, Guards(max_constraints=40_000))[0] == "max-variables"
+        # 300 variables fit; their 44,850 pairs do not
+        assert run(300, Guards(max_constraints=40_000)) == \
+            ("max-constraints", "step 1: guard: max-constraints")
+
+    def test_many_independent_individuals_are_decided(self):
+        # one branch point per individual: deeper than the interpreter's
+        # recursion limit, which a recursive search could not finish
+        n = sys.getrecursionlimit() + 50
+        kb = parse_kb("".join(f"(instance a{i} (or A B))\n" for i in range(n)))
+        assert complete(translate_kb(kb)).status == "sat"
 
     def test_atleast_zero_is_never_applicable(self):
         system = translate_kb(parse_kb("(instance a (atleast 0 R))"))
