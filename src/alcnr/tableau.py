@@ -29,9 +29,10 @@ deterministic for a given input system.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from .constraints import (
@@ -218,8 +219,10 @@ def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInsta
                 yield RuleInstance(RULE_ATLEAST, o, Member(o, c))
 
 
-def _iter_instances(system: ConstraintSystem) -> Iterator[RuleInstance]:
-    for o in system.objects():
+def _iter_instances(system: ConstraintSystem, from_key=None) -> Iterator[RuleInstance]:
+    objects = system.objects()
+    start = 0 if from_key is None else bisect_left(objects, from_key, key=object_key)
+    for o in islice(objects, start, None):
         yield from _object_instances(system, o)
 
 
@@ -228,8 +231,9 @@ def applicable_rule_instances(system: ConstraintSystem) -> list[RuleInstance]:
     return list(_iter_instances(system))
 
 
-def first_rule_instance(system: ConstraintSystem) -> RuleInstance | None:
-    return next(_iter_instances(system), None)
+def first_rule_instance(system: ConstraintSystem, from_key=None) -> RuleInstance | None:
+    """`from_key`: an object_key before which no object has an instance."""
+    return next(_iter_instances(system, from_key), None)
 
 
 def is_complete(system: ConstraintSystem) -> bool:
@@ -361,6 +365,7 @@ class _Searcher:
         # After a clash `system` is None, and the innermost choice point with
         # an untried choice resumes; the search fails once none is left.
         stack: list[list] = []
+        from_key = None
         while True:
             if system is None:
                 while stack and stack[-1][2] == len(stack[-1][1].choices):
@@ -371,7 +376,7 @@ class _Searcher:
                 base, inst, i, base_snapshots = point
                 point[2] = i + 1
             else:
-                inst = first_rule_instance(system)
+                inst = first_rule_instance(system, from_key)
                 if inst is None:
                     return self._completion(system)
                 base, base_snapshots = system, snapshots
@@ -393,11 +398,20 @@ class _Searcher:
                     len(base.constraints) + k * len(c.role.names) + k * (k - 1) // 2,
                 )
             nxt, added = _apply(base, inst, i)
-            if self._step(nxt, added, inst, i):
+            # the objects that can gain a clash or an instance: the target and
+            # those gaining a concept (new links and `!=` pairs only involve the
+            # target and its fresh successors); all of them after a substitution
+            touched = None if inst.rule == RULE_ATMOST else \
+                {inst.target}.union(c.obj for c in added if isinstance(c, Member))
+            if self._step(nxt, added, inst, i, touched):
                 system = None
                 continue
             snapshots = self._checked(base, nxt, inst, base_snapshots)
             system = nxt
+            # Objects before every touched one keep no instances: their labels
+            # and links are unchanged, a successor's new concept only satisfies
+            # forall and exists, and blocking reads earlier variables' labels.
+            from_key = None if touched is None else min(map(object_key, touched))
 
     def _completion(self, system: ConstraintSystem) -> ConstraintSystem:
         for v in system.variables():
@@ -416,20 +430,11 @@ class _Searcher:
         if constraint_count > self.guards.max_constraints:
             raise _GuardStop("max-constraints")
 
-    def _step(self, new, added, inst, i) -> ClashReport | None:
-        """Guard checks, targeted clash check, and the trace line for one
-        application; returns the clash, if any."""
+    def _step(self, new, added, inst, i, touched) -> ClashReport | None:
+        """Guard checks, the clash check on the touched objects, and the trace
+        line for one application; returns the clash, if any."""
         self._check_sizes(new.next_var_index, len(new.constraints))
-        if inst.rule == RULE_ATMOST:
-            clash = detect_clash(new)
-        else:
-            affected = {inst.target}
-            for c in added:
-                if isinstance(c, Member):
-                    affected.add(c.obj)
-                elif isinstance(c, RoleLink):
-                    affected.add(c.source)
-            clash = detect_clash(new, affected)
+        clash = detect_clash(new, touched)
         if self.trace.enabled:
             parts = [f"{inst.rule} on {object_str(inst.target)}: "
                      f"{constraint_str(inst.constraint)}"]
