@@ -29,8 +29,9 @@ from .tableau import (
 )
 from .canonical import extract_model, satisfies_system
 from .services import (
-    TruthVerdict, UnknownIndividualError, Verdict, concept_satisfiable,
-    instance_checks, instance_of, instances, kb_satisfiable, subsumed_by,
+    InconclusiveError, TruthVerdict, UnknownIndividualError, Verdict,
+    concept_satisfiable, instance_checks, instance_of, instances,
+    kb_satisfiable, subsumed_by,
 )
 from .encodings import (
     domain_range_inclusions, equivalent_concept_of_tbox,

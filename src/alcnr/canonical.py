@@ -10,9 +10,7 @@ makes model checking trivial.
 
 from __future__ import annotations
 
-from .constraints import (
-    ConstraintSystem, Distinct, Global, Ind, Member, RoleLink, object_str,
-)
+from .constraints import ConstraintSystem, Ind, object_str
 from .semantics import Assignment, Interpretation, eval_concept
 from .syntax import Name
 from .tableau import detect_clash, first_rule_instance
@@ -35,39 +33,24 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
     element = {o: object_str(o) for o in objects}
     domain = frozenset(element.values())
 
-    concept_names = set(system.kb.concept_names())
-    for c in system.constraints:
-        if isinstance(c, Member) and isinstance(c.concept, Name):
-            concept_names.add(c.concept.name)
-    concepts = {
-        a: frozenset(
-            element[o] for o in objects if system.has_member(o, Name(a))
-        )
-        for a in sorted(concept_names)
-    }
-
-    role_names = set(system.kb.role_names())
-    explicit: dict[str, set[tuple[str, str]]] = {}
-    for c in system.constraints:
-        if isinstance(c, RoleLink):
-            role_names.add(c.role_name)
-            explicit.setdefault(c.role_name, set()).add(
-                (element[c.source], element[c.target])
-            )
-    roles: dict[str, frozenset[tuple[str, str]]] = {}
-    witnesses = {
-        v: system.witness(v) for v in system.variables() if system.witness(v) is not None
-    }
-    for p in sorted(role_names):
-        pairs = set(explicit.get(p, ()))
-        for v, w in witnesses.items():
-            for link in system.links_from(w):
-                if link.role_name == p:
-                    pairs.add((element[v], element[link.target]))
-        roles[p] = frozenset(pairs)
+    concepts: dict[str, set[str]] = {a: set() for a in system.kb.concept_names()}
+    roles: dict[str, set[tuple[str, str]]] = {p: set() for p in system.kb.role_names()}
+    for o in objects:
+        for c in system.member_concepts(o):
+            if isinstance(c, Name):
+                concepts.setdefault(c.name, set()).add(element[o])
+        for p, targets in system.link_targets(o).items():
+            roles.setdefault(p, set()).update((element[o], element[t]) for t in targets)
+    for v in system.variables():
+        w = system.witness(v)
+        if w is not None:
+            for p, targets in system.link_targets(w).items():
+                roles[p].update((element[v], element[t]) for t in targets)
 
     individuals = {o.name: element[o] for o in objects if isinstance(o, Ind)}
-    interp = Interpretation(domain, concepts, roles, individuals)
+    interp = Interpretation(
+        domain, dict(sorted(concepts.items())), dict(sorted(roles.items())), individuals
+    )
     assignment = Assignment(dict(element))
     return interp, assignment
 
@@ -80,18 +63,18 @@ def satisfies_system(
     individuals = system.individuals()
     if len({assignment.of(a) for a in individuals}) < len(individuals):
         return False
-    for c in system.constraints:
-        if isinstance(c, Member):
-            if assignment.of(c.obj) not in eval_concept(interp, c.concept):
+    for g in system.global_concepts():
+        if eval_concept(interp, g) != interp.domain:
+            return False
+    for o in system.objects():
+        e = assignment.of(o)
+        for c in system.member_concepts(o):
+            if e not in eval_concept(interp, c):
                 return False
-        elif isinstance(c, RoleLink):
-            pair = (assignment.of(c.source), assignment.of(c.target))
-            if pair not in interp.roles.get(c.role_name, frozenset()):
+        for p, targets in system.link_targets(o).items():
+            pairs = interp.roles.get(p, frozenset())
+            if any((e, assignment.of(t)) not in pairs for t in targets):
                 return False
-        elif isinstance(c, Global):
-            if eval_concept(interp, c.concept) != interp.domain:
-                return False
-        elif isinstance(c, Distinct):
-            if assignment.of(c.first) == assignment.of(c.second):
-                return False
-    return True
+    return all(
+        assignment.of(a) != assignment.of(b) for a, b in system.distinct_pairs()
+    )

@@ -14,13 +14,18 @@ assumption); the stored ones come from the atleast rule and merges.
 Variables carry a creation index realizing the processing order: a fresh
 variable is always ordered after every existing one.  Systems are immutable;
 rule applications build extended copies, which keeps search branches
-independent.  Per-instance indexes (members by object, links by source,
-label sets) are built once in the constructor.
+independent.  A system stores only indexes (label sets by object, link
+targets by source and role, `!=` pairs, global concepts), which the
+constructor, `extended` and `substituted` all build through one routine;
+the constraint set itself is derived from them on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
     Concept, ConceptAssertion, KnowledgeBase, Not, Or, Role, TOP, concept_key,
@@ -139,7 +144,8 @@ class Distinct:
 
 Constraint = Member | RoleLink | Global | Distinct
 
-_EMPTY_LABELS: frozenset = frozenset()
+_EMPTY: frozenset = frozenset()
+_NO_LINKS: Mapping = MappingProxyType({})
 
 
 def constraint_str(c: Constraint) -> str:
@@ -164,104 +170,181 @@ class SystemMetrics:
 
 
 class ConstraintSystem:
-    """An immutable constraint set plus the next free variable index."""
+    """An immutable constraint set plus the next free variable index.
+
+    The set is stored only as indexes: `_labels` maps every object to its
+    concept set (empty for an object with only links or `!=` pairs), `_links`
+    maps a source to {role name: targets}, `_distinct` holds the `!=` pairs,
+    `_globals` the global concepts in `concept_key` order and `size` counts
+    the constraints.  A derived system shares with its parent every dict and
+    set that its step does not change.
+    """
 
     __slots__ = (
-        "constraints", "next_var_index", "kb",
-        "_members", "_links_out", "_succ", "_distinct", "_globals",
-        "_objects_set", "_objects_sorted", "_globals_sorted",
-        "_members_sorted", "_labels",
+        "next_var_index", "kb", "size",
+        "_labels", "_links", "_distinct", "_globals", "_objects",
+        "_members_sorted", "_constraints",
     )
 
-    def __init__(self, constraints: frozenset[Constraint], next_var_index: int,
+    def __init__(self, constraints: Iterable[Constraint], next_var_index: int,
                  kb: KnowledgeBase):
-        self.constraints = frozenset(constraints)
         self.next_var_index = next_var_index
         self.kb = kb
-
-        members: dict[Object, frozenset[Concept]] = {}
-        links_out: dict[Object, list[RoleLink]] = {}
-        succ: dict[tuple[Object, str], set[Object]] = {}
-        distinct: set[tuple[Object, Object]] = set()
-        objects: set[Object] = set()
-        globals_: set[Concept] = set()
-        grouped: dict[Object, set[Concept]] = {}
-        for c in self.constraints:
-            if isinstance(c, Member):
-                grouped.setdefault(c.obj, set()).add(c.concept)
-                objects.add(c.obj)
-            elif isinstance(c, RoleLink):
-                links_out.setdefault(c.source, []).append(c)
-                succ.setdefault((c.source, c.role_name), set()).add(c.target)
-                objects.add(c.source)
-                objects.add(c.target)
-            elif isinstance(c, Global):
-                globals_.add(c.concept)
-            else:
-                distinct.add((c.first, c.second))
-                objects.add(c.first)
-                objects.add(c.second)
-        for o, cs in grouped.items():
-            members[o] = frozenset(cs)
-        self._members = members
-        self._links_out = links_out
-        self._succ = succ
-        self._distinct = distinct
-        self._globals = globals_
-        self._objects_set = frozenset(objects)
-        self._objects_sorted = sorted(objects, key=object_key)
-        self._globals_sorted = sorted(globals_, key=concept_key)
+        self.size = 0
+        self._labels: dict[Object, frozenset[Concept]] = {}
+        self._links: dict[Object, dict[str, frozenset[Object]]] = {}
+        self._distinct: frozenset[tuple[Object, Object]] = _EMPTY
+        self._globals: tuple[Concept, ...] = ()
+        self._objects: list[Object] = []
         self._members_sorted: dict[Object, list[Concept]] = {}
-        self._labels: dict[Var, frozenset[Concept]] | None = None
+        self._constraints: frozenset[Constraint] | None = None
+        self._add(constraints)
+
+    def _add(self, batch: Iterable[Constraint]) -> None:
+        """Index a batch of constraints, grouped first so that each object
+        and each (object, role) costs one set union.  A changed dict or set
+        is replaced, never written: the parent may share it.  Object hashes
+        run in Python, so the merges reuse the hashes that the grouping dicts
+        and sets store (`update`, `|=`, `difference`)."""
+        concepts: dict[Object, set[Concept]] = {}
+        targets: dict[Object, dict[str, set[Object]]] = {}
+        pairs: list[tuple[Object, Object]] = []
+        globals_: list[Concept] = []
+        for c in batch:
+            if isinstance(c, Member):
+                concepts.setdefault(c.obj, set()).add(c.concept)
+            elif isinstance(c, RoleLink):
+                targets.setdefault(c.source, {}).setdefault(c.role_name, set()).add(c.target)
+            elif isinstance(c, Global):
+                globals_.append(c.concept)
+            else:
+                pairs.append((c.first, c.second))
+
+        known = len(self._labels)
+        labels = dict(self._labels)
+        members_sorted = self._members_sorted = dict(self._members_sorted)
+        size = self.size
+        for o, cs in concepts.items():
+            have = labels.get(o, _EMPTY)
+            grown = concepts[o] = have.union(cs)
+            if len(grown) > len(have):
+                size += len(grown) - len(have)
+                if have:
+                    members_sorted.pop(o, None)
+        labels.update(concepts)
+        if targets or pairs:
+            ends = set(targets)  # objects of links and pairs
+            if targets:
+                links = dict(self._links)
+                for o, by_role in targets.items():
+                    old = links.get(o, _NO_LINKS)
+                    for p, ts in by_role.items():
+                        ends |= ts
+                        have = old.get(p, _EMPTY)
+                        by_role[p] = have.union(ts)
+                        size += len(by_role[p]) - len(have)
+                    for p, ts in old.items():
+                        by_role.setdefault(p, ts)
+                links.update(targets)
+                self._links = links
+            if pairs:
+                distinct = self._distinct.union(pairs)
+                size += len(distinct) - len(self._distinct)
+                self._distinct = distinct
+                ends.update(chain.from_iterable(pairs))
+            for o in ends.difference(labels):
+                labels[o] = _EMPTY
+        if globals_:
+            union = set(self._globals).union(globals_)
+            size += len(union) - len(self._globals)
+            self._globals = tuple(sorted(union, key=concept_key))
+        if len(labels) > known:
+            # a dict keeps insertion order, so the new objects come last
+            fresh = sorted(islice(labels, known, None), key=object_key)
+            objects = self._objects
+            if objects and object_key(fresh[0]) < object_key(objects[-1]):
+                self._objects = sorted(labels, key=object_key)
+            else:
+                self._objects = objects + fresh
+        self._labels = labels
+        self.size = size
+
+    def _each(self, swap=lambda o: o) -> Iterator[Constraint]:
+        """Every constraint, rebuilt from the indexes, with each object o
+        written as swap(o)."""
+        yield from map(Global, self._globals)
+        for o, cs in self._labels.items():
+            s = swap(o)
+            yield from (Member(s, c) for c in cs)
+        for o, by_role in self._links.items():
+            s = swap(o)
+            yield from (RoleLink(s, p, swap(t)) for p, ts in by_role.items() for t in ts)
+        yield from (Distinct(swap(a), swap(b)) for a, b in self._distinct)
+
+    @property
+    def constraints(self) -> frozenset[Constraint]:
+        """The constraint set, derived from the indexes on first use: it is
+        for tests, dump and API callers, and the search never builds it."""
+        if self._constraints is None:
+            self._constraints = frozenset(self._each())
+        return self._constraints
 
     # -- accessors ----------------------------------------------------------
 
     def objects(self) -> list[Object]:
-        return self._objects_sorted
+        return self._objects
 
     def individuals(self) -> list[Ind]:
-        return [o for o in self._objects_sorted if isinstance(o, Ind)]
+        return [o for o in self._objects if isinstance(o, Ind)]
 
     def variables(self) -> list[Var]:
-        return [o for o in self._objects_sorted if isinstance(o, Var)]
+        return [o for o in self._objects if isinstance(o, Var)]
 
-    def global_concepts(self) -> list[Concept]:
-        return self._globals_sorted
+    def global_concepts(self) -> tuple[Concept, ...]:
+        return self._globals
 
     def member_concepts(self, o: Object) -> frozenset[Concept]:
         """The concept label set of an object (membership constraints only)."""
-        return self._members.get(o, _EMPTY_LABELS)
+        return self._labels.get(o, _EMPTY)
 
     def member_concepts_sorted(self, o: Object) -> list[Concept]:
+        # an empty label set is not cached, so `_add` evicts only nonempty ones
         found = self._members_sorted.get(o)
         if found is None:
-            found = sorted(self._members.get(o, ()), key=concept_key)
-            self._members_sorted[o] = found
+            labels = self._labels.get(o)
+            if not labels:
+                return []
+            found = self._members_sorted[o] = sorted(labels, key=concept_key)
         return found
 
     def has_member(self, o: Object, c: Concept) -> bool:
-        return c in self._members.get(o, _EMPTY_LABELS)
+        return c in self._labels.get(o, _EMPTY)
+
+    def link_targets(self, o: Object) -> Mapping[str, frozenset[Object]]:
+        """Role name -> the targets of o's links, read-only."""
+        return MappingProxyType(self._links.get(o, _NO_LINKS))
 
     def links_from(self, o: Object) -> list[RoleLink]:
-        return sorted(
-            self._links_out.get(o, ()),
-            key=lambda l: (l.role_name, object_key(l.target)),
-        )
+        by_role = self._links.get(o, _NO_LINKS)
+        return [
+            RoleLink(o, p, t)
+            for p in sorted(by_role) for t in sorted(by_role[p], key=object_key)
+        ]
 
     def role_successors(self, o: Object, r: Role) -> list[Object]:
         """Objects linked from o by every role name of the conjunction r."""
-        found = self._succ.get((o, r.names[0]))
-        if not found:
-            return []
-        found = set(found)
+        by_role = self._links.get(o, _NO_LINKS)
+        found = by_role.get(r.names[0], _EMPTY)
         for name in r.names[1:]:
-            found &= self._succ.get((o, name), set())
-            if not found:
-                return []
+            found = found & by_role.get(name, _EMPTY)
         return sorted(found, key=object_key)
 
     def has_successors(self, o: Object) -> bool:
-        return bool(self._links_out.get(o))
+        return bool(self._links.get(o))
+
+    def distinct_pairs(self) -> frozenset[tuple[Object, Object]]:
+        """The stored `!=` pairs, each in object order."""
+        return self._distinct
 
     def separated(self, a: Object, b: Object) -> bool:
         if isinstance(a, Ind) and isinstance(b, Ind):
@@ -272,23 +355,19 @@ class ConstraintSystem:
 
     # -- labels, witnesses, blocking ----------------------------------------
 
-    def _variable_labels(self) -> dict[Var, frozenset[Concept]]:
-        if self._labels is None:
-            self._labels = {v: self.member_concepts(v) for v in self.variables()}
-        return self._labels
-
     def labels_equal(self, x: Object, y: Object) -> bool:
         return self.member_concepts(x) == self.member_concepts(y)
 
     def witness(self, x: Var) -> Var | None:
         """The least earlier variable carrying exactly the same label set."""
-        labels = self._variable_labels()
-        mine = labels.get(x, self.member_concepts(x))
-        for w in self.variables():
-            if w.index >= x.index:
-                return None
-            if labels[w] == mine:
-                return w
+        labels = self._labels
+        mine = labels.get(x, _EMPTY)
+        for w in self._objects:
+            if isinstance(w, Var):
+                if w.index >= x.index:
+                    return None
+                if labels[w] == mine:
+                    return w
         return None
 
     def is_blocked(self, x: Object) -> bool:
@@ -296,11 +375,8 @@ class ConstraintSystem:
 
     def metrics(self) -> SystemMetrics:
         concepts: set[Concept] = set()
-        for c in self.constraints:
-            if isinstance(c, Member):
-                concepts |= subconcepts(c.concept)
-            elif isinstance(c, Global):
-                concepts |= subconcepts(c.concept)
+        for c in chain(self._globals, *self._labels.values()):
+            concepts |= subconcepts(c)
         variables = self.variables()
         unblocked = sum(1 for v in variables if not self.is_blocked(v))
         return SystemMetrics(len(concepts), len(variables), unblocked)
@@ -308,85 +384,22 @@ class ConstraintSystem:
     # -- derived systems ------------------------------------------------------
 
     def extended(self, added, next_var_index: int | None = None) -> "ConstraintSystem":
-        """An extended copy; indexes are derived incrementally (the search
-        extends systems once per rule application, so this is the hot path)."""
-        added = [c for c in added if c not in self.constraints]
+        """The system plus the `added` constraints (the search extends a
+        system once per rule application, so this is the hot path)."""
         child = object.__new__(ConstraintSystem)
-        child.constraints = self.constraints.union(added)
         child.next_var_index = (
             self.next_var_index if next_var_index is None else next_var_index
         )
         child.kb = self.kb
-        members = dict(self._members)
-        links_out = self._links_out
-        succ = self._succ
-        distinct = self._distinct
-        globals_ = self._globals
-        globals_sorted = self._globals_sorted
-        members_sorted = dict(self._members_sorted)
-        labels = dict(self._labels) if self._labels is not None else None
-        new_objects: set[Object] = set()
-        links_copied = succ_copied = distinct_copied = globals_copied = False
-        for c in added:
-            if isinstance(c, Member):
-                have = members.get(c.obj)
-                members[c.obj] = frozenset((c.concept,)) if have is None \
-                    else have | {c.concept}
-                members_sorted.pop(c.obj, None)
-                if labels is not None and isinstance(c.obj, Var):
-                    labels[c.obj] = members[c.obj]
-                if c.obj not in self._objects_set:
-                    new_objects.add(c.obj)
-            elif isinstance(c, RoleLink):
-                if not links_copied:
-                    links_out = dict(links_out)
-                    succ = dict(succ)
-                    links_copied = True
-                links_out[c.source] = links_out.get(c.source, []) + [c]
-                key = (c.source, c.role_name)
-                succ[key] = succ[key] | {c.target} if key in succ else {c.target}
-                for o in (c.source, c.target):
-                    if o not in self._objects_set:
-                        new_objects.add(o)
-            elif isinstance(c, Distinct):
-                if not distinct_copied:
-                    distinct = set(distinct)
-                    distinct_copied = True
-                distinct.add((c.first, c.second))
-                for o in (c.first, c.second):
-                    if o not in self._objects_set:
-                        new_objects.add(o)
-            else:
-                if not globals_copied:
-                    globals_ = set(globals_)
-                    globals_copied = True
-                globals_.add(c.concept)
-                globals_sorted = None
-        child._members = members
-        child._links_out = links_out
-        child._succ = succ
-        child._distinct = distinct
-        child._globals = globals_
-        child._objects_set = self._objects_set | new_objects
-        if new_objects:
-            fresh = sorted(new_objects, key=object_key)
-            if self._objects_sorted and fresh and \
-                    object_key(fresh[0]) > object_key(self._objects_sorted[-1]):
-                child._objects_sorted = self._objects_sorted + fresh
-            else:
-                child._objects_sorted = sorted(child._objects_set, key=object_key)
-            if labels is not None:
-                for o in fresh:
-                    if isinstance(o, Var):
-                        labels[o] = members.get(o, _EMPTY_LABELS)
-        else:
-            child._objects_sorted = self._objects_sorted
-        child._globals_sorted = (
-            sorted(globals_, key=concept_key) if globals_sorted is None
-            else globals_sorted
-        )
-        child._members_sorted = members_sorted
-        child._labels = labels
+        child.size = self.size
+        child._labels = self._labels
+        child._links = self._links
+        child._distinct = self._distinct
+        child._globals = self._globals
+        child._objects = self._objects
+        child._members_sorted = self._members_sorted
+        child._constraints = None
+        child._add(added)
         return child
 
     def substituted(self, y: Var, t: Object) -> "ConstraintSystem":
@@ -395,28 +408,16 @@ class ConstraintSystem:
             raise ValueError("only variables can be substituted away")
         if y == t:
             raise ValueError("substitution target must differ from the variable")
-
-        def swap(o: Object) -> Object:
-            return t if o == y else o
-
-        out: set[Constraint] = set()
-        for c in self.constraints:
-            if isinstance(c, Member):
-                out.add(Member(swap(c.obj), c.concept))
-            elif isinstance(c, RoleLink):
-                out.add(RoleLink(swap(c.source), c.role_name, swap(c.target)))
-            elif isinstance(c, Distinct):
-                out.add(Distinct(swap(c.first), swap(c.second)))
-            else:
-                out.add(c)
-        return ConstraintSystem(frozenset(out), self.next_var_index, self.kb)
+        return ConstraintSystem(
+            self._each(lambda o: t if o == y else o), self.next_var_index, self.kb
+        )
 
     def dump(self) -> str:
         """Debug form, one constraint per line, sorted."""
         return "\n".join(sorted(constraint_str(c) for c in self.constraints))
 
     def __repr__(self) -> str:
-        return f"<ConstraintSystem {len(self.constraints)} constraints, next_var={self.next_var_index}>"
+        return f"<ConstraintSystem {self.size} constraints, next_var={self.next_var_index}>"
 
 
 def translate_kb(kb: KnowledgeBase) -> ConstraintSystem:
@@ -428,15 +429,16 @@ def translate_kb(kb: KnowledgeBase) -> ConstraintSystem:
     (unique name assumption).  A KB with an empty ABox gets one auxiliary
     individual asserted to TOP so the system is nonempty.
     """
-    constraints: set[Constraint] = set()
-    for inc in kb.tbox:
-        constraints.add(Global(to_simple_form(Or(Not(inc.lhs), inc.rhs))))
+    # one Ind per name, so that index lookups match it by identity
+    ind = {name: Ind(name) for name in kb.individuals()}
+    constraints: list[Constraint] = [
+        Global(to_simple_form(Or(Not(inc.lhs), inc.rhs))) for inc in kb.tbox
+    ]
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
-            constraints.add(Member(Ind(a.individual), to_simple_form(a.concept)))
+            constraints.append(Member(ind[a.individual], to_simple_form(a.concept)))
         else:
-            for p in a.role.names:
-                constraints.add(RoleLink(Ind(a.subject), p, Ind(a.target)))
+            constraints += (RoleLink(ind[a.subject], p, ind[a.target]) for p in a.role.names)
     if not kb.abox:
-        constraints.add(Member(Ind(AUX_INDIVIDUAL), TOP))
-    return ConstraintSystem(frozenset(constraints), 0, kb)
+        constraints.append(Member(Ind(AUX_INDIVIDUAL), TOP))
+    return ConstraintSystem(constraints, 0, kb)

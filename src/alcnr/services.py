@@ -32,6 +32,16 @@ class SelfCheckError(AssertionError):
     """A SAT verdict's extracted model failed verification."""
 
 
+class InconclusiveError(RuntimeError):
+    """An instance check hit a guard, so `instances` cannot name the members
+    of a concept; `checks` is the instance_checks result."""
+
+    def __init__(self, checks: dict[str, "TruthVerdict"]):
+        super().__init__("undecided: " + ", ".join(
+            a for a, truth in checks.items() if truth.value is None))
+        self.checks = checks
+
+
 @dataclass
 class Verdict:
     status: str                                # "sat" | "unsat" | "unknown"
@@ -135,8 +145,9 @@ def instance_checks(
 def instances(
     kb: KnowledgeBase, c: Concept, guards: Guards | None = None
 ) -> frozenset[str]:
-    """The individuals provably in c; individuals whose check hits a guard
-    are omitted (instance_checks reports them as UNKNOWN)."""
-    return frozenset(
-        a for a, truth in instance_checks(kb, c, guards).items() if truth.value
-    )
+    """The individuals provably in c.  Raises InconclusiveError if any
+    individual's check hits a guard, since UNKNOWN is not "not a member"."""
+    checks = instance_checks(kb, c, guards)
+    if any(truth.value is None for truth in checks.values()):
+        raise InconclusiveError(checks)
+    return frozenset(a for a, truth in checks.items() if truth.value)

@@ -245,12 +245,13 @@ def is_complete(system: ConstraintSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 def _check_applicable(system: ConstraintSystem, inst: RuleInstance) -> None:
-    if isinstance(inst.constraint, Member):
-        present = system.has_member(inst.constraint.obj, inst.constraint.concept)
+    c = inst.constraint
+    if isinstance(c, Member):
+        present = system.has_member(c.obj, c.concept)
     else:
-        present = inst.constraint in system.constraints
+        present = isinstance(c, Global) and c.concept in system.global_concepts()
     if not present:
-        raise ValueError(f"instance not applicable: {constraint_str(inst.constraint)} not in system")
+        raise ValueError(f"instance not applicable: {constraint_str(c)} not in system")
 
 
 def _apply(
@@ -395,7 +396,7 @@ class _Searcher:
                 k = c.count
                 self._check_sizes(
                     base.next_var_index + k,
-                    len(base.constraints) + k * len(c.role.names) + k * (k - 1) // 2,
+                    base.size + k * len(c.role.names) + k * (k - 1) // 2,
                 )
             nxt, added = _apply(base, inst, i)
             # the objects that can gain a clash or an instance: the target and
@@ -433,7 +434,7 @@ class _Searcher:
     def _step(self, new, added, inst, i, touched) -> ClashReport | None:
         """Guard checks, the clash check on the touched objects, and the trace
         line for one application; returns the clash, if any."""
-        self._check_sizes(new.next_var_index, len(new.constraints))
+        self._check_sizes(new.next_var_index, new.size)
         clash = detect_clash(new, touched)
         if self.trace.enabled:
             parts = [f"{inst.rule} on {object_str(inst.target)}: "

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from alcnr import (
     And, ConstraintSystem, Distinct, Global, Ind, Member, Name, Not, Or,
-    RoleLink, Some, TOP, Var, parse_kb, role, translate_kb,
+    RoleLink, Some, TOP, Var, applicable_rule_instances, apply_rule_instance,
+    parse_kb, role, translate_kb,
 )
 from alcnr.constraints import AUX_INDIVIDUAL, object_key, object_str
 
@@ -167,48 +170,89 @@ class TestMetrics:
 
 
 class TestIncrementalDerivation:
-    """extended() builds child indexes from the parent's; every derived view
-    must match a from-scratch construction over the same constraint set."""
+    """extended() and substituted() index only what a step adds on top of
+    the parent's indexes; every view must match a from-scratch construction
+    over the same constraint set, and the parent must stay as it was."""
 
-    def test_views_match_scratch_rebuild_along_random_derivations(self):
+    # KBs whose searches substitute: variables merged into a variable and
+    # into an individual
+    MERGING_KBS = (
+        "(instance a (some R A)) (instance a (some R B)) (instance a (some R C))"
+        " (instance a (atmost 2 R))",
+        "(related a b R) (instance a (some R A)) (instance a (atmost 1 R))",
+    )
+
+    @staticmethod
+    def _derivations(kbs, choice_seed):
+        """(kb, system, instance, choice) along random derivations."""
         import random
-        from alcnr import (
-            applicable_rule_instances, apply_rule_instance, detect_clash,
-            first_rule_instance,
-        )
+        from alcnr import detect_clash, first_rule_instance
         from alcnr.tableau import BRANCHING_RULES
-        from _generators import random_kbs
 
-        rng = random.Random(6)
-        for kb in random_kbs(seed=13, count=30):
+        rng = random.Random(choice_seed)
+        for kb in kbs:
             system = translate_kb(kb)
             for _ in range(15):
                 inst = first_rule_instance(system)
                 if inst is None or detect_clash(system) is not None:
                     break
-                if system.variables():
-                    system.witness(system.variables()[-1])  # warm the label cache
                 choice = rng.randrange(len(inst.choices)) \
                     if inst.rule in BRANCHING_RULES else None
+                yield kb, system, inst, choice
                 system = apply_rule_instance(system, inst, choice)
-                rebuilt = ConstraintSystem(
-                    system.constraints, system.next_var_index, kb
-                )
-                assert system.objects() == rebuilt.objects()
-                assert system.global_concepts() == rebuilt.global_concepts()
-                for o in system.objects():
-                    assert system.member_concepts(o) == rebuilt.member_concepts(o)
-                    assert system.member_concepts_sorted(o) == \
-                        rebuilt.member_concepts_sorted(o)
-                    assert sorted(system.links_from(o), key=repr) == \
-                        sorted(rebuilt.links_from(o), key=repr)
-                for v in system.variables():
-                    assert system.witness(v) == rebuilt.witness(v)
-                assert [
-                    (i.rule, i.target) for i in applicable_rule_instances(system)
-                ] == [
-                    (i.rule, i.target) for i in applicable_rule_instances(rebuilt)
-                ]
+
+    def test_views_match_scratch_rebuild_along_random_derivations(self):
+        from _generators import random_kbs
+
+        kbs = random_kbs(seed=13, count=30) + [parse_kb(t) for t in self.MERGING_KBS]
+        for kb, parent, inst, choice in self._derivations(kbs, 6):
+            if parent.variables():
+                # fill the parent's sorted-label cache before deriving from it
+                parent.witness(parent.variables()[-1])
+                for o in parent.objects():
+                    parent.member_concepts_sorted(o)
+            system = apply_rule_instance(parent, inst, choice)
+            rebuilt = ConstraintSystem(
+                system.constraints, system.next_var_index, kb
+            )
+            assert rebuilt.constraints == system.constraints
+            assert system.size == len(system.constraints) == rebuilt.size
+            assert system.objects() == rebuilt.objects()
+            assert system.global_concepts() == rebuilt.global_concepts()
+            assert system.distinct_pairs() == rebuilt.distinct_pairs()
+            for o in system.objects():
+                assert system.member_concepts(o) == rebuilt.member_concepts(o)
+                assert system.member_concepts_sorted(o) == \
+                    rebuilt.member_concepts_sorted(o)
+                assert system.links_from(o) == rebuilt.links_from(o)
+            for v in system.variables():
+                assert system.witness(v) == rebuilt.witness(v)
+            assert [
+                (i.rule, i.target) for i in applicable_rule_instances(system)
+            ] == [
+                (i.rule, i.target) for i in applicable_rule_instances(rebuilt)
+            ]
+
+    def test_deriving_a_child_leaves_the_parent_unchanged(self):
+        from _generators import random_kbs
+
+        def views(system):
+            return (
+                system.constraints, list(system.objects()), system.size,
+                {o: system.member_concepts(o) for o in system.objects()},
+                {o: list(system.member_concepts_sorted(o)) for o in system.objects()},
+                {o: system.links_from(o) for o in system.objects()},
+                system.distinct_pairs(),
+            )
+
+        kbs = random_kbs(seed=14, count=30) + [parse_kb(t) for t in self.MERGING_KBS]
+        rules = Counter()
+        for _, parent, inst, choice in self._derivations(kbs, 7):
+            before = views(parent)
+            views(apply_rule_instance(parent, inst, choice))  # fills the child's caches
+            assert views(parent) == before
+            rules[inst.rule] += 1
+        assert rules["atmost"] >= 2 and rules["atleast"] and rules["exists"]
 
 
 class TestObjects:

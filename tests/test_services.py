@@ -1,10 +1,10 @@
 import pytest
 
 from alcnr import (
-    And, AtMost, BOTTOM, ConceptAssertion, Guards, KnowledgeBase, Name, Not,
-    Some, TOP, TruthVerdict, UnknownIndividualError, concept_satisfiable,
-    instance_checks, instance_of, instances, is_model, kb_satisfiable,
-    parse_kb, role, subsumed_by,
+    And, AtMost, BOTTOM, ConceptAssertion, Guards, InconclusiveError,
+    KnowledgeBase, Name, Not, Some, TOP, TruthVerdict, UnknownIndividualError,
+    concept_satisfiable, instance_checks, instance_of, instances, is_model,
+    kb_satisfiable, parse_kb, role, subsumed_by,
 )
 from alcnr.services import augment_for_concept_sat, augment_for_instance
 from _generators import random_kbs
@@ -94,7 +94,9 @@ class TestInstanceChecking:
         assert checks == {"cs156": TruthVerdict(False), "john": TruthVerdict(True)}
         tight = instance_checks(kb21, Name("Student"), Guards(max_branches=1))
         assert tight["john"] == TruthVerdict(None, "max-branches")
-        assert instances(kb21, Name("Student"), Guards(max_branches=1)) == frozenset()
+        with pytest.raises(InconclusiveError) as raised:
+            instances(kb21, Name("Student"), Guards(max_branches=1))
+        assert raised.value.checks == tight
 
 
 class TestDuality:
