@@ -23,7 +23,7 @@ from .constraints import (
     Var, translate_kb,
 )
 from .tableau import (
-    ClashReport, CompletionResult, Guards, RuleInstance, Trace,
+    ClashReport, CompletionResult, Guards, RuleInstance, SearchStats, Trace,
     applicable_rule_instances, apply_rule_instance, complete, detect_clash,
     first_rule_instance, is_complete,
 )

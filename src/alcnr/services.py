@@ -21,7 +21,9 @@ from .semantics import Assignment, Interpretation, is_model
 from .syntax import (
     And, Concept, ConceptAssertion, FRESH_INDIVIDUAL, KnowledgeBase, Not,
 )
-from .tableau import MUTED_TRACE, CompletionResult, Guards, Trace, complete
+from .tableau import (
+    MUTED_TRACE, CompletionResult, Guards, SearchStats, Trace, complete,
+)
 
 
 class UnknownIndividualError(ValueError):
@@ -49,6 +51,7 @@ class Verdict:
     assignment: Assignment | None = None
     trace: Trace | None = None
     guard: str | None = None
+    stats: SearchStats | None = None
 
     @property
     def is_sat(self) -> bool:
@@ -63,16 +66,17 @@ class TruthVerdict:
 
 def _verdict(kb: KnowledgeBase, result: CompletionResult, self_check: bool) -> Verdict:
     if result.status == "resource-exceeded":
-        return Verdict("unknown", trace=result.trace, guard=result.guard)
+        return Verdict("unknown", trace=result.trace, guard=result.guard,
+                       stats=result.stats)
     if result.status == "unsat":
-        return Verdict("unsat", trace=result.trace)
+        return Verdict("unsat", trace=result.trace, stats=result.stats)
     interp, assignment = extract_model(result.completion)
     if self_check:
         if not satisfies_system(result.completion, interp, assignment):
             raise SelfCheckError("canonical model does not satisfy its completion")
         if not is_model(interp, kb):
             raise SelfCheckError("canonical model does not satisfy the source KB")
-    return Verdict("sat", interp, assignment, result.trace)
+    return Verdict("sat", interp, assignment, result.trace, stats=result.stats)
 
 
 def kb_satisfiable(

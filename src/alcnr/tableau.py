@@ -1,5 +1,5 @@
 """Propagation rules, application strategy, clash detection, and the
-backtracking search for a clash-free completion.
+backjumping search for a clash-free completion.
 
 Rules and their side conditions:
 
@@ -22,16 +22,20 @@ TBoxes.
 
 The search applies deterministic instances eagerly, branches on `or` (first
 disjunct first) and on `atmost` (merge pairs in canonical order, the
-later-created variable of a variable pair being replaced), checks for a
-clash after every application, and backtracks on clash.  Everything is
-deterministic for a given input system.
+later-created variable of a variable pair being replaced) and checks for a
+clash after every application.  Each constraint the search adds depends on
+a set of choice points; on a clash it jumps back to the latest choice point
+the clash depends on, skipping later ones, whose untried choices would all
+fail again (dependency-directed backjumping).  Skipped choices never lead to
+a completion, so the search finds the same completion as chronological
+backtracking.  Everything is deterministic for a given input system.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, islice
 from typing import Iterator
 
@@ -40,8 +44,8 @@ from .constraints import (
     Var, constraint_str, object_key, object_str,
 )
 from .syntax import (
-    All, And, AtLeast, AtMost, Bottom, Name, Not, Or, Some, concept_key,
-    render_concept,
+    BOTTOM, All, And, AtLeast, AtMost, Bottom, Concept, Name, Not, Or, Role,
+    Some, concept_key, render_concept,
 )
 
 RULE_AND = "and"
@@ -119,11 +123,21 @@ MUTED_TRACE = Trace(limit=0)
 
 
 @dataclass
+class SearchStats:
+    """Counters of one completion search."""
+
+    branches: int = 0     # choices tried at choice points
+    skipped: int = 0      # choice points a backjump dropped from the stack
+    max_depth: int = 0    # most choice points open at once
+
+
+@dataclass
 class CompletionResult:
     status: str                                 # "sat" | "unsat" | "resource-exceeded"
     completion: ConstraintSystem | None
     trace: Trace
     guard: str | None = None
+    stats: SearchStats = field(default_factory=SearchStats)
 
     @property
     def is_sat(self) -> bool:
@@ -257,13 +271,9 @@ def _check_applicable(system: ConstraintSystem, inst: RuleInstance) -> None:
 def _apply(
     system: ConstraintSystem, inst: RuleInstance, choice: int | None
 ) -> tuple[ConstraintSystem, list[Constraint]]:
-    """Apply one instance; returns the new system and the added constraints
-    (empty for the substitution rule)."""
-    _check_applicable(system, inst)
+    """Apply one applicable instance with a valid choice; returns the new
+    system and the added constraints (empty for the substitution rule)."""
     o = inst.target
-    if inst.rule in BRANCHING_RULES:
-        if choice is None or not 0 <= choice < len(inst.choices):
-            raise ValueError(f"choice index {choice!r} out of range for {inst.rule}")
     if inst.rule == RULE_AND:
         c = inst.constraint.concept
         added: list[Constraint] = [Member(o, c.left), Member(o, c.right)]
@@ -300,6 +310,10 @@ def apply_rule_instance(
 ) -> ConstraintSystem:
     """The system after one rule application; `choice` selects the branch for
     the nondeterministic rules."""
+    _check_applicable(system, inst)
+    if inst.rule in BRANCHING_RULES:
+        if choice is None or not 0 <= choice < len(inst.choices):
+            raise ValueError(f"choice index {choice!r} out of range for {inst.rule}")
     return _apply(system, inst, choice)[0]
 
 
@@ -350,11 +364,41 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
 # Completion search
 # ---------------------------------------------------------------------------
 
+class _Point:
+    """A choice point on the search stack; its level is its stack index.  A
+    dependency mask is an int with bit l set for the choice point at level l."""
+
+    __slots__ = ("system", "inst", "next", "snapshots", "failed", "mark")
+
+    def __init__(self, system, inst, snapshots, mark: int):
+        self.system = system        # the system it branches from
+        self.inst = inst            # the branching instance
+        self.next = 1               # the next choice to try
+        self.snapshots = snapshots  # the debug snapshots of `system`
+        self.failed = 0             # the masks of its failed choices, below it
+        self.mark = mark            # the trail length when it was pushed
+
+
 class _Searcher:
+    """The completion search.
+
+    `_deps` maps each membership (object, concept) the search adds to the
+    mask of the choice points it depends on; `_reach` maps an object to the
+    mask of its incoming links and its `!=` pairs (its creation, widened by
+    merges).  An absent entry means 0, the mask of every input constraint.
+    A membership is written only when it is new to the system its rule
+    applies to, so each one in the current system carries the mask of its
+    own derivation; merges widen `_reach` through a trail that a jump
+    rewinds.  Nothing is recorded while no choice point is open.
+    """
+
     def __init__(self, guards: Guards, trace: Trace):
         self.guards = guards
         self.trace = trace
-        self.branches = 0
+        self.stats = SearchStats()
+        self._deps: dict[tuple[Object, Concept], int] = {}
+        self._reach: dict[Object, int] = {}
+        self._trail: list[tuple[Object, int]] = []
 
     def run(self, system: ConstraintSystem) -> ConstraintSystem | None:
         clash = detect_clash(system)
@@ -362,20 +406,20 @@ class _Searcher:
             self.trace.emit(f"clash: {clash.kind} on {object_str(clash.obj)}")
             return None
         snapshots: dict[int, frozenset] | None = {} if self.guards.debug_checks else None
-        # Choice points [system, branching instance, next choice, snapshots].
-        # After a clash `system` is None, and the innermost choice point with
-        # an untried choice resumes; the search fails once none is left.
-        stack: list[list] = []
+        # After a clash `system` is None and `mask` holds the clash's
+        # dependencies: the latest choice point in it resumes, and the search
+        # fails once the mask runs out.
+        stack: list[_Point] = []
         from_key = None
+        mask = 0
         while True:
             if system is None:
-                while stack and stack[-1][2] == len(stack[-1][1].choices):
-                    stack.pop()
-                if not stack:
+                point = self._backjump(stack, mask)
+                if point is None:
                     return None
-                point = stack[-1]
-                base, inst, i, base_snapshots = point
-                point[2] = i + 1
+                base, inst, i = point.system, point.inst, point.next
+                base_snapshots = point.snapshots
+                point.next = i + 1
             else:
                 inst = first_rule_instance(system, from_key)
                 if inst is None:
@@ -383,11 +427,12 @@ class _Searcher:
                 base, base_snapshots = system, snapshots
                 i = None
                 if inst.rule in BRANCHING_RULES:
-                    stack.append([system, inst, 1, snapshots])
+                    stack.append(_Point(system, inst, snapshots, len(self._trail)))
+                    self.stats.max_depth = max(self.stats.max_depth, len(stack))
                     i = 0
             if i is not None:
-                self.branches += 1
-                if self.branches > self.guards.max_branches:
+                self.stats.branches += 1
+                if self.stats.branches > self.guards.max_branches:
                     raise _GuardStop("max-branches")
             elif inst.rule == RULE_ATLEAST:
                 # size guards before the k variables and k(k-1)/2 pairs are
@@ -399,12 +444,16 @@ class _Searcher:
                     base.size + k * len(c.role.names) + k * (k - 1) // 2,
                 )
             nxt, added = _apply(base, inst, i)
+            if stack:
+                self._record(base, inst, i, added, len(stack) - 1)
             # the objects that can gain a clash or an instance: the target and
             # those gaining a concept (new links and `!=` pairs only involve the
             # target and its fresh successors); all of them after a substitution
             touched = None if inst.rule == RULE_ATMOST else \
                 {inst.target}.union(c.obj for c in added if isinstance(c, Member))
-            if self._step(nxt, added, inst, i, touched):
+            clash = self._step(nxt, added, inst, i, touched)
+            if clash is not None:
+                mask = self._clash_mask(nxt, clash)
                 system = None
                 continue
             snapshots = self._checked(base, nxt, inst, base_snapshots)
@@ -413,6 +462,104 @@ class _Searcher:
             # and links are unchanged, a successor's new concept only satisfies
             # forall and exists, and blocking reads earlier variables' labels.
             from_key = None if touched is None else min(map(object_key, touched))
+
+    # -- dependencies -------------------------------------------------------
+
+    def _successors_mask(self, system: ConstraintSystem, o: Object, r: Role) -> int:
+        reach = self._reach
+        mask = 0
+        for t in system.role_successors(o, r):
+            mask |= reach.get(t, 0)
+        return mask
+
+    def _record(self, base, inst, i, added, level: int) -> None:
+        """The masks of one application's new constraints: its premise's, plus
+        the successor's links for forall, plus for a choice its level and, for
+        atmost, the links and `!=` pairs that fix the merge choices.  (A
+        global constraint's mask is 0.)"""
+        deps, rule = self._deps, inst.rule
+        if rule == RULE_GLOBAL:
+            mask = 0
+        else:
+            o, c = inst.target, inst.constraint.concept
+            mask = deps.get((o, c), 0)
+            if rule == RULE_OR:
+                mask |= 1 << level
+            elif rule == RULE_FORALL:
+                mask |= self._reach.get(inst.successor, 0)
+            elif rule == RULE_ATMOST:
+                mask |= 1 << level | self._successors_mask(base, o, c.role)
+                self._merge(base, o, *inst.choices[i], mask)
+                return
+        if rule == RULE_AND:
+            # the one rule that can add a membership the system already holds
+            for c in added:
+                if not base.has_member(c.obj, c.concept):
+                    deps[c.obj, c.concept] = mask
+            return
+        for c in added:
+            if isinstance(c, Member):
+                deps[c.obj, c.concept] = mask
+            elif isinstance(c, RoleLink):
+                # a fresh variable: the mask covers its links and `!=` pairs
+                self._reach[c.target] = mask
+
+    def _merge(self, base, o, y, t, mask: int) -> None:
+        """Merging y into t, both successors of o, under `mask`: y's concepts
+        new on t depend on it, and so does t if it gains a link role name or
+        a `!=` pair.  The variable y has no successors of its own yet: o
+        precedes it, and the strategy fires no rule on an object after a
+        generating rule fired on a later one."""
+        deps = self._deps
+        have = base.member_concepts(t)
+        for c in base.member_concepts(y):
+            if c not in have:
+                deps[t, c] = deps.get((y, c), 0) | mask
+        # o is the only source of links to the variable y
+        if any(y in ts and t not in ts for ts in base.link_targets(o).values()) or any(
+            not base.separated(t, b if a == y else a)
+            for a, b in base.distinct_pairs() if y in (a, b)
+        ):
+            old = self._reach.get(t, 0)
+            self._trail.append((t, old))
+            self._reach[t] = old | mask
+
+    def _clash_mask(self, system: ConstraintSystem, clash: ClashReport) -> int:
+        o, deps = clash.obj, self._deps
+        if clash.kind == "bottom":
+            return deps.get((o, BOTTOM), 0)
+        if clash.kind == "complement":
+            a = Name(clash.detail)
+            return deps.get((o, a), 0) | deps.get((o, Not(a)), 0)
+        mask = 0
+        for c in system.member_concepts(o):
+            if isinstance(c, AtMost) and render_concept(c) == clash.detail:
+                mask |= deps.get((o, c), 0) | self._successors_mask(system, o, c.role)
+        return mask
+
+    def _backjump(self, stack: list[_Point], mask: int) -> _Point | None:
+        """The latest choice point in `mask` with an untried choice, after
+        dropping every later one; None once the mask runs out (unsat).  A
+        choice point out of choices fails with the masks of its failed
+        choices, less its own level.  That covers its premise: every mask
+        holding a level holds the mask of that level's premise."""
+        while mask:
+            level = mask.bit_length() - 1
+            self.stats.skipped += len(stack) - 1 - level
+            del stack[level + 1:]
+            point = stack[level]
+            point.failed |= mask ^ 1 << level
+            if point.next < len(point.inst.choices):
+                trail, reach = self._trail, self._reach
+                while len(trail) > point.mark:
+                    o, old = trail.pop()
+                    reach[o] = old
+                return point
+            mask = point.failed
+            stack.pop()
+        return None
+
+    # -- completion, guards, trace, debug invariants ------------------------
 
     def _completion(self, system: ConstraintSystem) -> ConstraintSystem:
         for v in system.variables():
@@ -465,9 +612,8 @@ class _Searcher:
                 idx: labels for idx, labels in snapshots.items()
                 if Var(idx) in set(new.objects())
             }
-        else:
-            if not new.constraints > old.constraints:
-                raise InvariantViolation(f"{inst.rule} did not grow the constraint set")
+        elif not _grew(old, new):
+            raise InvariantViolation(f"{inst.rule} did not grow the constraint set")
         if snapshots and isinstance(inst.target, Var):
             if inst.target.index < max(snapshots):
                 raise InvariantViolation(
@@ -487,6 +633,30 @@ class _Searcher:
         return snapshots
 
 
+def _grew(old: ConstraintSystem, new: ConstraintSystem) -> bool:
+    """new.constraints > old.constraints, tested on the indexes: a larger size
+    and every global, `!=` pair, label and link target of old still there.
+    A child shares each set its step left alone, hence the `is` tests."""
+    if new.size <= old.size:
+        return False
+    was, now = old.global_concepts(), new.global_concepts()
+    if was is not now and not set(was) <= set(now):
+        return False
+    was, now = old.distinct_pairs(), new.distinct_pairs()
+    if was is not now and not was <= now:
+        return False
+    for o in old.objects():
+        was, now = old.member_concepts(o), new.member_concepts(o)
+        if was is not now and not was <= now:
+            return False
+        links = new.link_targets(o)
+        for p, was in old.link_targets(o).items():
+            now = links.get(p, frozenset())
+            if was is not now and not was <= now:
+                return False
+    return True
+
+
 def complete(
     system: ConstraintSystem,
     guards: Guards | None = None,
@@ -504,7 +674,7 @@ def complete(
         completion = searcher.run(system)
     except _GuardStop as stop:
         trace.emit(f"guard: {stop.which}")
-        return CompletionResult("resource-exceeded", None, trace, stop.which)
+        return CompletionResult("resource-exceeded", None, trace, stop.which, searcher.stats)
     if completion is None:
-        return CompletionResult("unsat", None, trace)
-    return CompletionResult("sat", completion, trace)
+        return CompletionResult("unsat", None, trace, stats=searcher.stats)
+    return CompletionResult("sat", completion, trace, stats=searcher.stats)

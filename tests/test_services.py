@@ -8,6 +8,7 @@ from alcnr import (
 )
 from alcnr.services import augment_for_concept_sat, augment_for_instance
 from _generators import random_kbs
+from conftest import EX21_TEXT
 
 GUARDS = Guards(debug_checks=True)
 
@@ -126,3 +127,35 @@ class TestVacuousEntailment:
         assert instance_of(kb, "b", Name("B")).value is True
         assert concept_satisfiable(kb, TOP).status == "unsat"
         assert instances(kb, BOTTOM) == kb.individuals()
+
+
+class TestDecidedByBackjumping:
+    """Queries that chronological backtracking left UNKNOWN."""
+
+    def test_verdict_carries_the_search_stats(self, kb21):
+        kb = augment_for_instance(kb21, "john", Name("Student"))
+        verdict = kb_satisfiable(kb)
+        assert verdict.status == "unsat"
+        assert 0 < verdict.stats.branches < 100
+
+    def test_university_tbox_with_two_teachers(self):
+        tbox = "".join(EX21_TEXT.splitlines(keepends=True)[:4])
+        kb = parse_kb(tbox + "".join(
+            f"(related t{i} c{i} TEACHES) (instance t{i} (atmost 1 DEGREE))"
+            f" (instance c{i} Course)\n" for i in range(2)
+        ))
+        assert instance_of(kb, "t0", Name("Student")).value is True
+        assert instance_of(kb, "t0", Some(role("DEGREE"), Name("BS"))).value is True
+
+    def test_two_inclusion_kb_under_the_suite_guards(self):
+        kb = parse_kb(
+            "(implies (atmost 2 S) (all S (atmost 2 S)))\n"
+            "(implies (all S (atmost 3 S))"
+            " (and (some S (some R TOP)) (all S (some S C))))\n"
+            "(related b b S)\n(instance b (atmost 2 S))\n"
+            "(instance b (atmost 1 R))\n(instance a (all S (not C)))\n"
+        )
+        suite = Guards(max_variables=60, max_constraints=4000, max_branches=1500)
+        assert kb_satisfiable(kb, suite, self_check=True).status == "sat"
+        c = Not(And(BOTTOM, Name("C")))
+        assert concept_satisfiable(kb, c, suite, self_check=True).status == "sat"

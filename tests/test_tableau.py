@@ -4,15 +4,18 @@ import sys
 import pytest
 
 from alcnr import (
-    Distinct, Guards, Ind, Member, Name, Not, RoleLink, Some, Trace, Var,
-    applicable_rule_instances, apply_rule_instance, complete, detect_clash,
-    first_rule_instance, is_complete, parse_kb, role, translate_kb,
+    Distinct, Guards, Ind, Interpretation, Member, Name, Not, RoleLink,
+    SearchStats, Some, Trace, Var, applicable_rule_instances,
+    apply_rule_instance, complete, detect_clash, extract_model,
+    find_model_bounded, first_rule_instance, is_complete, is_model,
+    kb_satisfiable, parse_kb, role, satisfies_system, translate_kb,
 )
+from alcnr.services import augment_for_instance
 from alcnr.tableau import (
     BRANCHING_RULES, GENERATING_RULES, RULE_ATLEAST, RULE_ATMOST, RULE_EXISTS,
     RULE_FORALL, RULE_OR,
 )
-from _generators import random_kbs
+from _generators import _candidate_kb, random_kbs
 from _system_oracle import system_satisfiable_bounded
 
 
@@ -384,3 +387,94 @@ class TestRuleInvariance:
             assert any(outcomes), "no branch preserved satisfiability"
             checked += 1
         assert checked >= 3
+
+
+# Hand KBs whose first choice fails on a clash that only a dependency carried
+# through a rule or a merge ties to that choice; jumping further back would
+# answer UNSAT where the second choice has a model.
+JUMP_KBS = {
+    # the link to the successor depends on the choice, the forall premise not
+    "forall-over-a-chosen-link": (
+        "(instance a (all R C)) (instance a (all R (not C)))"
+        " (instance a (or (some R A) B))", "sat"),
+    # _v0 : C comes from the chosen forall; merging _v0 into b clashes
+    "merge-moves-a-chosen-concept": (
+        "(instance a (or (all (and R S) C) E)) (instance a (some (and R S) D))"
+        " (related a b R) (instance b (not C)) (instance a (atmost 1 R))", "sat"),
+    # merging the chosen successor gives b an S link, which a forall uses later
+    "merge-adds-a-role-name": (
+        "(instance a (or (some (and R S) D) E)) (related a b R)"
+        " (instance b (not C)) (instance a (atmost 1 R))"
+        " (related z a R) (instance z (all R (all S C)))", "sat"),
+    # the atleast rule's != pair makes the number clash
+    "atleast-pair-number-clash": (
+        "(instance a (or (atleast 2 R) E)) (instance a (atmost 1 R))", "sat"),
+    # the != pair of an atleast sibling moves onto b in the merge
+    "merge-moves-an-atleast-pair": (
+        "(instance a (or (atleast 2 R) E)) (related a b R) (instance a (atmost 2 R))"
+        " (related z a R) (instance z (all R (atmost 1 R)))", "sat"),
+    "atleast-against-atmost": (
+        "(instance a (or (atleast 2 R) (atleast 3 R))) (instance a (atmost 1 R))",
+        "unsat"),
+}
+
+# The clash on a : Q does not depend on the merge of step 4, so the search
+# jumps over it to the first choice, and the merge's dependencies on b must
+# be rewound with it.
+JUMP_OVER_A_MERGE = (
+    "(instance a (or (and Q (some (and R S) D)) (all R (not K))))"
+    " (related a b R) (instance b K) (instance a (atmost 1 R))"
+    " (related z a R) (instance z (all R (not Q)))"
+)
+
+
+class TestBackjumping:
+    def test_university_instance_query_needs_few_branches(self, kb21):
+        kb = augment_for_instance(kb21, "john", Name("Student"))
+        result = complete(translate_kb(kb))
+        assert result.status == "unsat"
+        # chronological backtracking takes 10,762 branches
+        assert result.stats.branches < 100
+        assert result.stats.skipped > 0
+
+    def test_a_jump_over_a_merge_rewinds_its_dependencies(self):
+        result = complete(
+            translate_kb(parse_kb(JUMP_OVER_A_MERGE)), Guards(debug_checks=True),
+            Trace(limit=None),
+        )
+        assert result.status == "unsat"
+        lines = result.trace.lines()
+        assert len(lines) == 7
+        assert "atmost on a" in lines[3] and lines[4].endswith("| clash: complement")
+        assert "or on a" in lines[5] and "choice 2/2" in lines[5]
+        assert result.stats == SearchStats(branches=3, skipped=1, max_depth=2)
+
+    @pytest.mark.parametrize("name", sorted(JUMP_KBS))
+    def test_jumps_through_rules_and_merges_agree_with_the_oracle(self, name):
+        text, expected = JUMP_KBS[name]
+        kb = parse_kb(text)
+        verdict = kb_satisfiable(kb, Guards(debug_checks=True), self_check=True)
+        assert verdict.status == expected
+        found = find_model_bounded(kb, len(kb.individuals()) + 1, 20_000)
+        assert isinstance(found, Interpretation) == (expected == "sat")
+
+    def test_unscreened_candidates_agree_with_the_oracle(self):
+        # drawn without the engine screen, so guard-heavy KBs stay in
+        guards = Guards(max_variables=60, max_constraints=4000, max_branches=1500,
+                        debug_checks=True)
+        rng = random.Random(2718)
+        decided = 0
+        for _ in range(600):
+            kb = _candidate_kb(rng)
+            result = complete(translate_kb(kb), guards)
+            if result.status == "resource-exceeded":
+                continue
+            decided += 1
+            if result.status == "sat":
+                interp, assignment = extract_model(result.completion)
+                assert satisfies_system(result.completion, interp, assignment)
+                assert is_model(interp, kb)
+            found = find_model_bounded(kb, len(kb.individuals()) + 1, 1000)
+            if isinstance(found, Interpretation):
+                assert result.status == "sat"
+        assert decided >= 590
