@@ -58,8 +58,9 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
 def satisfies_system(
     system: ConstraintSystem, interp: Interpretation, assignment: Assignment
 ) -> bool:
-    """Check every constraint of the system against (interp, assignment),
-    and that distinct individuals get distinct elements (unique names)."""
+    """Check every constraint of the system against (interp, assignment):
+    distinct individuals get distinct elements (unique names), and so do the
+    members of each sibling group (its `!=` pairs)."""
     individuals = system.individuals()
     if len({assignment.of(a) for a in individuals}) < len(individuals):
         return False
@@ -76,5 +77,6 @@ def satisfies_system(
             if any((e, assignment.of(t)) not in pairs for t in targets):
                 return False
     return all(
-        assignment.of(a) != assignment.of(b) for a, b in system.distinct_pairs()
+        len({assignment.of(o) for o in members}) == len(members)
+        for members in system.sibling_groups().values()
     )

@@ -8,6 +8,7 @@ Output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .encodings import inclusions_to_introduction
@@ -31,7 +32,10 @@ GUARD_WARNING = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each `parse_args` call returns a
+    fresh namespace, so nothing carries over between runs."""
     parser = argparse.ArgumentParser(
         prog="alcnr",
         description="Decision procedures for ALCNR knowledge bases.",

@@ -9,21 +9,25 @@ ordered variables):
     s != t       the objects must denote distinct elements
 
 Two individuals are separated without any stored `!=` (unique name
-assumption); the stored ones come from the atleast rule and merges.
+assumption).  The `!=` constraints among the k variables of one atleast
+application are not stored pair by pair either: the variables share one
+sibling group, and two objects sharing a group are separated.  A merge
+hands the merged variable's groups to the object replacing it.
 
 Variables carry a creation index realizing the processing order: a fresh
 variable is always ordered after every existing one.  Systems are immutable;
 rule applications build extended copies, which keeps search branches
 independent.  A system stores only indexes (label sets by object, link
-targets by source and role, `!=` pairs, global concepts), which the
-constructor, `extended` and `substituted` all build through one routine;
-the constraint set itself is derived from them on demand.
+targets by source and role, sibling groups by object, global concepts),
+which the constructor, `extended` and `substituted` all build through one
+routine; the constraint set, `!=` pairs included, is derived from them on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, combinations, islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -142,6 +146,19 @@ class Distinct:
         return self._hash
 
 
+@dataclass(frozen=True, slots=True)
+class Siblings:
+    """The fresh variables of one atleast application, pairwise separated.
+
+    Not a constraint of its own: a system indexes it as one sibling group,
+    whose id is the first variable's index, and derives its `!=` pairs."""
+
+    members: tuple[Var, ...]
+
+    def pairs(self) -> list[Distinct]:
+        return [Distinct(a, b) for a, b in combinations(self.members, 2)]
+
+
 Constraint = Member | RoleLink | Global | Distinct
 
 _EMPTY: frozenset = frozenset()
@@ -174,15 +191,20 @@ class ConstraintSystem:
 
     The set is stored only as indexes: `_labels` maps every object to its
     concept set (empty for an object with only links or `!=` pairs), `_links`
-    maps a source to {role name: targets}, `_distinct` holds the `!=` pairs,
-    `_globals` the global concepts in `concept_key` order and `size` counts
-    the constraints.  A derived system shares with its parent every dict and
-    set that its step does not change.
+    maps a source to {role name: targets}, `_groups` maps an object to the
+    ids of its sibling groups (absent: none), `_globals` holds the global
+    concepts in `concept_key` order and `size` counts the constraints, each
+    `!=` pair between two members of a group included.  A derived system
+    shares with its parent every dict and set that its step does not change.
+
+    The constructor and `extended` take `!=` constraints as `Distinct`
+    pairs, each a group of two unless its objects already share a group
+    (its id is the pair itself), and as `Siblings`.
     """
 
     __slots__ = (
         "next_var_index", "kb", "size",
-        "_labels", "_links", "_distinct", "_globals", "_objects",
+        "_labels", "_links", "_groups", "_globals", "_objects",
         "_members_sorted", "_constraints",
     )
 
@@ -193,7 +215,7 @@ class ConstraintSystem:
         self.size = 0
         self._labels: dict[Object, frozenset[Concept]] = {}
         self._links: dict[Object, dict[str, frozenset[Object]]] = {}
-        self._distinct: frozenset[tuple[Object, Object]] = _EMPTY
+        self._groups: dict[Object, frozenset] = {}
         self._globals: tuple[Concept, ...] = ()
         self._objects: list[Object] = []
         self._members_sorted: dict[Object, list[Concept]] = {}
@@ -209,6 +231,7 @@ class ConstraintSystem:
         concepts: dict[Object, set[Concept]] = {}
         targets: dict[Object, dict[str, set[Object]]] = {}
         pairs: list[tuple[Object, Object]] = []
+        siblings: list[tuple[Var, ...]] = []
         globals_: list[Concept] = []
         for c in batch:
             if isinstance(c, Member):
@@ -217,6 +240,8 @@ class ConstraintSystem:
                 targets.setdefault(c.source, {}).setdefault(c.role_name, set()).add(c.target)
             elif isinstance(c, Global):
                 globals_.append(c.concept)
+            elif isinstance(c, Siblings):
+                siblings.append(c.members)
             else:
                 pairs.append((c.first, c.second))
 
@@ -232,8 +257,8 @@ class ConstraintSystem:
                 if have:
                     members_sorted.pop(o, None)
         labels.update(concepts)
-        if targets or pairs:
-            ends = set(targets)  # objects of links and pairs
+        if targets or pairs or siblings:
+            ends = set(targets)  # objects of links and groups
             if targets:
                 links = dict(self._links)
                 for o, by_role in targets.items():
@@ -247,11 +272,20 @@ class ConstraintSystem:
                         by_role.setdefault(p, ts)
                 links.update(targets)
                 self._links = links
-            if pairs:
-                distinct = self._distinct.union(pairs)
-                size += len(distinct) - len(self._distinct)
-                self._distinct = distinct
-                ends.update(chain.from_iterable(pairs))
+            if pairs or siblings:
+                groups = self._groups = dict(self._groups)
+                for members in siblings:
+                    # fresh variables share no group yet: every pair is new
+                    groups.update(dict.fromkeys(members, frozenset({members[0].index})))
+                    size += len(members) * (len(members) - 1) // 2
+                    ends.update(members)
+                for a, b in pairs:
+                    was_a, was_b = groups.get(a, _EMPTY), groups.get(b, _EMPTY)
+                    if was_a.isdisjoint(was_b):
+                        group = frozenset({(a, b)})
+                        groups[a], groups[b] = was_a | group, was_b | group
+                        size += 1
+                    ends.update((a, b))
             for o in ends.difference(labels):
                 labels[o] = _EMPTY
         if globals_:
@@ -270,8 +304,8 @@ class ConstraintSystem:
         self.size = size
 
     def _each(self, swap=lambda o: o) -> Iterator[Constraint]:
-        """Every constraint, rebuilt from the indexes, with each object o
-        written as swap(o)."""
+        """Every constraint but the `!=` pairs, rebuilt from the indexes, with
+        each object o written as swap(o)."""
         yield from map(Global, self._globals)
         for o, cs in self._labels.items():
             s = swap(o)
@@ -279,14 +313,15 @@ class ConstraintSystem:
         for o, by_role in self._links.items():
             s = swap(o)
             yield from (RoleLink(s, p, swap(t)) for p, ts in by_role.items() for t in ts)
-        yield from (Distinct(swap(a), swap(b)) for a, b in self._distinct)
 
     @property
     def constraints(self) -> frozenset[Constraint]:
         """The constraint set, derived from the indexes on first use: it is
         for tests, dump and API callers, and the search never builds it."""
         if self._constraints is None:
-            self._constraints = frozenset(self._each())
+            self._constraints = frozenset(chain(
+                self._each(), (Distinct(a, b) for a, b in self.distinct_pairs())
+            ))
         return self._constraints
 
     # -- accessors ----------------------------------------------------------
@@ -342,16 +377,40 @@ class ConstraintSystem:
     def has_successors(self, o: Object) -> bool:
         return bool(self._links.get(o))
 
+    def groups_of(self, o: Object) -> frozenset:
+        """The ids of o's sibling groups."""
+        return self._groups.get(o, _EMPTY)
+
+    def sibling_groups(self) -> dict[object, list[Object]]:
+        """Group id -> its members, in object order."""
+        found: dict[object, list[Object]] = {}
+        for o in self._objects:
+            for g in self._groups.get(o, ()):
+                found.setdefault(g, []).append(o)
+        return found
+
+    def siblings(self, o: Object) -> set[Object]:
+        """The objects sharing a sibling group with o."""
+        mine = self._groups.get(o)
+        if not mine:
+            return set()
+        return {z for z, gs in self._groups.items() if not mine.isdisjoint(gs)} - {o}
+
     def distinct_pairs(self) -> frozenset[tuple[Object, Object]]:
-        """The stored `!=` pairs, each in object order."""
-        return self._distinct
+        """The `!=` pairs, each in object order, derived from the groups: for
+        tests, dump and API callers, not for the search."""
+        return frozenset(chain.from_iterable(
+            combinations(members, 2) for members in self.sibling_groups().values()
+        ))
 
     def separated(self, a: Object, b: Object) -> bool:
+        """Must a and b denote distinct elements: two individuals (unique
+        names), or two objects sharing a sibling group?"""
         if isinstance(a, Ind) and isinstance(b, Ind):
             return a != b
-        if object_key(a) > object_key(b):
-            a, b = b, a
-        return (a, b) in self._distinct
+        mine = self._groups.get(a)
+        return mine is not None and not mine.isdisjoint(self._groups.get(b, _EMPTY)) \
+            and a != b
 
     # -- labels, witnesses, blocking ----------------------------------------
 
@@ -394,7 +453,7 @@ class ConstraintSystem:
         child.size = self.size
         child._labels = self._labels
         child._links = self._links
-        child._distinct = self._distinct
+        child._groups = self._groups
         child._globals = self._globals
         child._objects = self._objects
         child._members_sorted = self._members_sorted
@@ -403,14 +462,34 @@ class ConstraintSystem:
         return child
 
     def substituted(self, y: Var, t: Object) -> "ConstraintSystem":
-        """S[y/t]: every occurrence of the variable y replaced by t."""
+        """S[y/t]: every occurrence of the variable y replaced by t.
+
+        t takes every group of y, which turns each pair (y, z) into (t, z);
+        the pairs t already had are counted once."""
         if not isinstance(y, Var):
             raise ValueError("only variables can be substituted away")
         if y == t:
             raise ValueError("substitution target must differ from the variable")
-        return ConstraintSystem(
-            self._each(lambda o: t if o == y else o), self.next_var_index, self.kb
-        )
+        if self.separated(y, t):
+            raise ValueError(
+                f"cannot substitute {object_str(y)} by the separated {object_str(t)}"
+            )
+        rest = list(self._each(lambda o: t if o == y else o))
+        child = ConstraintSystem(rest, self.next_var_index, self.kb)
+        # self.size - len(rest) is the number of `!=` pairs
+        child.size += self.size - len(rest)
+        groups = child._groups = self._groups
+        mine = groups.get(y)
+        if mine:
+            child.size -= len(self.siblings(y) & self.siblings(t))
+            groups = child._groups = dict(groups)
+            del groups[y]
+            groups[t] = groups.get(t, _EMPTY) | mine
+        loose = [o for o in groups if o not in child._labels]
+        if loose:  # objects with nothing but `!=` pairs
+            child._labels.update(dict.fromkeys(loose, _EMPTY))
+            child._objects = sorted(child._labels, key=object_key)
+        return child
 
     def dump(self) -> str:
         """Debug form, one constraint per line, sorted."""

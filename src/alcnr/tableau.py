@@ -40,8 +40,8 @@ from itertools import combinations, islice
 from typing import Iterator
 
 from .constraints import (
-    Constraint, ConstraintSystem, Distinct, Global, Member, Object, RoleLink,
-    Var, constraint_str, object_key, object_str,
+    Constraint, ConstraintSystem, Global, Ind, Member, Object, RoleLink,
+    Siblings, Var, constraint_str, object_key, object_str,
 )
 from .syntax import (
     BOTTOM, All, And, AtLeast, AtMost, Bottom, Concept, Name, Not, Or, Role,
@@ -94,6 +94,8 @@ class Guards:
 class Trace:
     """Bounded derivation log; limit=None keeps everything, limit=0 disables
     recording entirely (the searcher then skips building the line text).
+    A limited log keeps the last `limit` lines; `dropped` counts the earlier
+    ones it evicted.
 
     Line grammar (stable; consumed by golden tests):
 
@@ -117,6 +119,11 @@ class Trace:
 
     def lines(self) -> list[str]:
         return list(self._lines)
+
+    @property
+    def dropped(self) -> int:
+        """Lines the limit evicted: 0 unless a limited log overflowed."""
+        return self.steps - len(self._lines)
 
 
 MUTED_TRACE = Trace(limit=0)
@@ -166,10 +173,21 @@ def _has_separated_clique(system: ConstraintSystem, objs: list[Object], size: in
         return False
     if size == 1:
         return True
+    # A candidate joins the greedy clique when it is separated from every
+    # member.  It is, at once, when the members all share one of its groups,
+    # or all are individuals and so is it; `counts` counts the members per
+    # group and `inds` the individuals among them.
     greedy: list[Object] = []
+    counts: dict[object, int] = {}
+    inds = 0
     for o in objs:
-        if all(system.separated(o, g) for g in greedy):
+        n, ind, groups = len(greedy), isinstance(o, Ind), system.groups_of(o)
+        if (ind and inds == n) or any(counts.get(g, 0) == n for g in groups) \
+                or all(system.separated(o, g) for g in greedy):
             greedy.append(o)
+            inds += ind
+            for g in groups:
+                counts[g] = counts.get(g, 0) + 1
     if len(greedy) >= size:
         return True
     for combo in combinations(objs, size):
@@ -295,9 +313,9 @@ def _apply(
         return system.extended(added, next_var_index=y.index + 1), added
     if inst.rule == RULE_ATLEAST:
         c = inst.constraint.concept
-        fresh = [Var(system.next_var_index + i) for i in range(c.count)]
+        fresh = tuple(Var(system.next_var_index + i) for i in range(c.count))
         added = [RoleLink(o, p, y) for y in fresh for p in c.role.names]
-        added.extend(Distinct(a, b) for a, b in combinations(fresh, 2))
+        added.append(Siblings(fresh))
         return system.extended(added, next_var_index=system.next_var_index + c.count), added
     if inst.rule == RULE_ATMOST:
         y, t = inst.choices[choice]
@@ -384,8 +402,8 @@ class _Searcher:
 
     `_deps` maps each membership (object, concept) the search adds to the
     mask of the choice points it depends on; `_reach` maps an object to the
-    mask of its incoming links and its `!=` pairs (its creation, widened by
-    merges).  An absent entry means 0, the mask of every input constraint.
+    mask of its incoming links and its sibling groups (its creation, widened
+    by merges).  An absent entry means 0, the mask of every input constraint.
     A membership is written only when it is new to the system its rule
     applies to, so each one in the current system carries the mask of its
     own derivation; merges widen `_reach` through a trail that a jump
@@ -399,13 +417,19 @@ class _Searcher:
         self._deps: dict[tuple[Object, Concept], int] = {}
         self._reach: dict[Object, int] = {}
         self._trail: list[tuple[Object, int]] = []
+        self._concepts = 0  # debug: the concept count, fixed within a search
 
     def run(self, system: ConstraintSystem) -> ConstraintSystem | None:
         clash = detect_clash(system)
         if clash is not None:
             self.trace.emit(f"clash: {clash.kind} on {object_str(clash.obj)}")
             return None
-        snapshots: dict[int, frozenset] | None = {} if self.guards.debug_checks else None
+        snapshots: dict[int, frozenset] | None = None
+        if self.guards.debug_checks:
+            snapshots = {}
+            # every concept a rule adds is a subconcept of one present, and a
+            # merge moves labels: no step changes the count
+            self._concepts = system.metrics().concept_count
         # After a clash `system` is None and `mask` holds the clash's
         # dependencies: the latest choice point in it resumes, and the search
         # fails once the mask runs out.
@@ -435,8 +459,8 @@ class _Searcher:
                 if self.stats.branches > self.guards.max_branches:
                     raise _GuardStop("max-branches")
             elif inst.rule == RULE_ATLEAST:
-                # size guards before the k variables and k(k-1)/2 pairs are
-                # built; every constraint the rule adds is new, so it is exact
+                # size guards before the k variables are built; every link
+                # and each of the k(k-1)/2 sibling pairs is new, so it is exact
                 c = inst.constraint.concept
                 k = c.count
                 self._check_sizes(
@@ -447,7 +471,7 @@ class _Searcher:
             if stack:
                 self._record(base, inst, i, added, len(stack) - 1)
             # the objects that can gain a clash or an instance: the target and
-            # those gaining a concept (new links and `!=` pairs only involve the
+            # those gaining a concept (new links and groups only involve the
             # target and its fresh successors); all of them after a substitution
             touched = None if inst.rule == RULE_ATMOST else \
                 {inst.target}.union(c.obj for c in added if isinstance(c, Member))
@@ -501,13 +525,13 @@ class _Searcher:
             if isinstance(c, Member):
                 deps[c.obj, c.concept] = mask
             elif isinstance(c, RoleLink):
-                # a fresh variable: the mask covers its links and `!=` pairs
+                # a fresh variable: the mask covers its links and its group
                 self._reach[c.target] = mask
 
     def _merge(self, base, o, y, t, mask: int) -> None:
         """Merging y into t, both successors of o, under `mask`: y's concepts
         new on t depend on it, and so does t if it gains a link role name or
-        a `!=` pair.  The variable y has no successors of its own yet: o
+        a sibling.  The variable y has no successors of its own yet: o
         precedes it, and the strategy fires no rule on an object after a
         generating rule fired on a later one."""
         deps = self._deps
@@ -517,8 +541,7 @@ class _Searcher:
                 deps[t, c] = deps.get((y, c), 0) | mask
         # o is the only source of links to the variable y
         if any(y in ts and t not in ts for ts in base.link_targets(o).values()) or any(
-            not base.separated(t, b if a == y else a)
-            for a, b in base.distinct_pairs() if y in (a, b)
+            not base.separated(t, z) for z in base.siblings(y)
         ):
             old = self._reach.get(t, 0)
             self._trail.append((t, old))
@@ -592,9 +615,10 @@ class _Searcher:
                 y, t = inst.choices[i]
                 parts.append(f"| subst: {object_str(y)} -> {object_str(t)}")
             elif added:
-                parts.append(
-                    "| added: " + ", ".join(sorted(constraint_str(c) for c in added))
-                )
+                parts.append("| added: " + ", ".join(sorted(
+                    constraint_str(d) for c in added
+                    for d in (c.pairs() if isinstance(c, Siblings) else (c,))
+                )))
             if clash is not None:
                 parts.append(f"| clash: {clash.kind}")
             self.trace.emit(" ".join(parts))
@@ -608,9 +632,9 @@ class _Searcher:
         if inst.rule == RULE_ATMOST:
             if len(new.objects()) >= len(old.objects()):
                 raise InvariantViolation("atmost did not shrink the object count")
+            kept = set(new.objects())
             snapshots = {
-                idx: labels for idx, labels in snapshots.items()
-                if Var(idx) in set(new.objects())
+                idx: labels for idx, labels in snapshots.items() if Var(idx) in kept
             }
         elif not _grew(old, new):
             raise InvariantViolation(f"{inst.rule} did not grow the constraint set")
@@ -625,28 +649,29 @@ class _Searcher:
                 raise InvariantViolation(f"label set of _v{idx} changed after generation")
         if inst.rule in GENERATING_RULES and isinstance(inst.target, Var):
             snapshots[inst.target.index] = new.member_concepts(inst.target)
-        m = new.metrics()
-        if m.unblocked_count > 2 ** m.concept_count:
+        # a variable is unblocked iff no earlier one has its label set
+        unblocked = len({new.member_concepts(v) for v in new.variables()})
+        if unblocked > 2 ** self._concepts:
             raise InvariantViolation(
-                f"{m.unblocked_count} unblocked variables exceeds 2^{m.concept_count}"
+                f"{unblocked} unblocked variables exceeds 2^{self._concepts}"
             )
         return snapshots
 
 
 def _grew(old: ConstraintSystem, new: ConstraintSystem) -> bool:
     """new.constraints > old.constraints, tested on the indexes: a larger size
-    and every global, `!=` pair, label and link target of old still there.
-    A child shares each set its step left alone, hence the `is` tests."""
+    and every global, label, group and link target of old still there.  A
+    child shares each set its step left alone, hence the `is` tests."""
     if new.size <= old.size:
         return False
     was, now = old.global_concepts(), new.global_concepts()
     if was is not now and not set(was) <= set(now):
         return False
-    was, now = old.distinct_pairs(), new.distinct_pairs()
-    if was is not now and not was <= now:
-        return False
     for o in old.objects():
         was, now = old.member_concepts(o), new.member_concepts(o)
+        if was is not now and not was <= now:
+            return False
+        was, now = old.groups_of(o), new.groups_of(o)
         if was is not now and not was <= now:
             return False
         links = new.link_targets(o)

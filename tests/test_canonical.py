@@ -94,3 +94,10 @@ class TestSelfCheck:
         assert satisfies_system(result.completion, interp, assignment)
         merged = Assignment({**assignment.mapping, Ind("cs156"): assignment.of(Ind("john"))})
         assert not satisfies_system(result.completion, interp, merged)
+
+    def test_self_check_rejects_merged_siblings(self):
+        result = complete(translate_kb(parse_kb("(instance a (atleast 2 R))")))
+        interp, assignment = extract_model(result.completion)
+        assert satisfies_system(result.completion, interp, assignment)
+        merged = Assignment({**assignment.mapping, Var(1): assignment.of(Var(0))})
+        assert not satisfies_system(result.completion, interp, merged)

@@ -160,6 +160,26 @@ class TestDeterminism:
             second = cli(command[0], path, *command[1:])
             assert first == second
 
+    def test_runs_in_one_process_match_first_runs(self, kb_file, capsys):
+        # the CLI builds its parser once per process; a usage error or --help
+        # must leave nothing behind for the next run
+        from alcnr.cli import _build_parser
+
+        path = kb_file(EX21_TEXT)
+        runs = [("no-such-command", "x"), ("--help",), ("check-sat", path),
+                ("instance", path, "john", "Student")]
+
+        def once(args):
+            code, out, _ = cli(*args)
+            return code, out + capsys.readouterr().out  # argparse prints help to sys.stdout
+
+        first = []
+        for args in runs:
+            _build_parser.cache_clear()
+            first.append(once(args))
+        assert [code for code, _ in first] == [3, 0, 0, 0]
+        assert [once(args) for args in runs] == first
+
     def test_output_is_stable_across_hash_seeds(self, kb_file):
         path = kb_file(EX21_TEXT)
         src = str(Path(__file__).resolve().parent.parent / "src")

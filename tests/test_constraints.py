@@ -88,6 +88,16 @@ class TestSeparation:
     def test_unrelated_variables_are_not_separated(self, s10):
         assert not s10.separated(Var(0), Var(1))
 
+    def test_explicit_pairs_are_separated_and_counted_once(self):
+        v0, v1, a, b = Var(0), Var(1), Ind("a"), Ind("b")
+        system = ConstraintSystem(
+            [Distinct(v0, v1), Distinct(v1, v0), Distinct(a, b)], 2, parse_kb("")
+        )
+        assert system.size == len(system.constraints) == 2
+        assert system.distinct_pairs() == frozenset({(a, b), (v0, v1)})
+        assert system.separated(v1, v0) and not system.separated(v0, v0)
+        assert system.extended([Distinct(v0, v1)]).size == 2
+
     def test_distinct_normalizes_and_rejects_degenerate(self):
         assert Distinct(Var(1), Var(0)) == Distinct(Var(0), Var(1))
         with pytest.raises(ValueError):
@@ -117,6 +127,22 @@ class TestSubstitution:
             frozenset({Member(y, Name("C")), Member(t, Name("C"))}), 1, parse_kb("")
         )
         assert system.substituted(y, t).constraints == frozenset({Member(t, Name("C"))})
+
+    def test_the_target_takes_the_groups_of_the_variable(self):
+        v0, v1, v2, v3 = Var(0), Var(1), Var(2), Var(3)
+        system = ConstraintSystem(
+            [Distinct(v0, v1), Distinct(v0, v2), Distinct(v1, v3), Member(v1, Name("A"))],
+            4, parse_kb(""),
+        )
+        out = system.substituted(v3, v0)
+        # (v3, v1) becomes the (v0, v1) that v0 already had
+        assert out.constraints == frozenset({
+            Distinct(v0, v1), Distinct(v0, v2), Member(v1, Name("A"))
+        })
+        assert out.size == 3 and out.objects() == [v0, v1, v2]
+        assert out.separated(v0, v1) and not out.separated(v1, v2)
+        with pytest.raises(ValueError, match="separated"):
+            system.substituted(v1, v0)
 
     def test_only_variables_can_be_substituted(self):
         system = ConstraintSystem(frozenset({Member(Ind("a"), Name("A"))}), 0, parse_kb(""))
@@ -175,11 +201,16 @@ class TestIncrementalDerivation:
     over the same constraint set, and the parent must stay as it was."""
 
     # KBs whose searches substitute: variables merged into a variable and
-    # into an individual
+    # into an individual; then a sibling-group variable merged into an
+    # individual, into a variable of another group (twice, the second time
+    # into a variable already in two groups) and into a variable of none
     MERGING_KBS = (
         "(instance a (some R A)) (instance a (some R B)) (instance a (some R C))"
         " (instance a (atmost 2 R))",
         "(related a b R) (instance a (some R A)) (instance a (atmost 1 R))",
+        "(related a b R) (instance a (and (atleast 2 R) (atmost 2 R)))",
+        "(instance a (and (atleast 2 R) (atleast 2 (and R S)) (atmost 2 R)))",
+        "(instance a (and (atleast 2 R) (some R A) (atmost 2 R)))",
     )
 
     @staticmethod
@@ -220,6 +251,13 @@ class TestIncrementalDerivation:
             assert system.objects() == rebuilt.objects()
             assert system.global_concepts() == rebuilt.global_concepts()
             assert system.distinct_pairs() == rebuilt.distinct_pairs()
+            pairs, objects = system.distinct_pairs(), system.objects()
+            for i, a in enumerate(objects):
+                for b in objects[i + 1:]:
+                    inds = isinstance(a, Ind) and isinstance(b, Ind)
+                    shared = bool(system.groups_of(a) & system.groups_of(b))
+                    assert system.separated(a, b) == (inds or (a, b) in pairs) \
+                        == (inds or shared) == rebuilt.separated(a, b)
             for o in system.objects():
                 assert system.member_concepts(o) == rebuilt.member_concepts(o)
                 assert system.member_concepts_sorted(o) == \

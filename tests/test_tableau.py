@@ -287,6 +287,14 @@ class TestComplete:
                 "blocked", "clash:", "guard:",
             }
 
+    def test_a_limited_trace_counts_the_lines_it_dropped(self, kb21):
+        full = complete(translate_kb(kb21), trace=Trace(limit=None)).trace
+        last = complete(translate_kb(kb21), trace=Trace(limit=5)).trace
+        assert len(full.lines()) > 5 and full.dropped == 0
+        assert last.lines() == full.lines()[-5:]
+        assert last.dropped == len(full.lines()) - 5
+        assert Trace(limit=0).dropped == 0
+
 
 def _kb_lines(kb):
     from alcnr import render_kb
@@ -320,6 +328,31 @@ class TestSearchInvariants:
             assert v in reachable, "variable unreachable from every individual"
             if completion.is_blocked(v):
                 assert not completion.has_successors(v)
+
+    def test_concept_count_is_fixed_within_a_search(self, monkeypatch, kb21):
+        # the debug invariant counts the concepts once, at the root
+        from alcnr import tableau
+
+        counts = []
+        checked = tableau._Searcher._checked
+
+        def spy(searcher, old, new, inst, snapshots):
+            counts.append(new.metrics().concept_count)
+            return checked(searcher, old, new, inst, snapshots)
+
+        monkeypatch.setattr(tableau._Searcher, "_checked", spy)
+        kbs = random_kbs(seed=23, count=20) + [
+            kb21, augment_for_instance(kb21, "john", Name("Student")),
+            parse_kb("(instance a (and (atleast 2 R) (atleast 2 (and R S)) (atmost 2 R)))"),
+        ]
+        steps = 0
+        for kb in kbs:
+            system = translate_kb(kb)
+            counts.clear()
+            complete(system, Guards(debug_checks=True))
+            assert set(counts) <= {system.metrics().concept_count}
+            steps += len(counts)
+        assert steps > 100
 
     def test_monotonicity_of_rule_applications(self):
         rng = random.Random(31)
@@ -478,3 +511,72 @@ class TestBackjumping:
             if isinstance(found, Interpretation):
                 assert result.status == "sat"
         assert decided >= 590
+
+
+# hand KBs whose atleast siblings meet an atmost bound: (KB, verdict, two
+# objects left in one sibling group by a merge)
+SIBLING_KBS = {
+    # three pairwise-separated siblings against at most two: a number clash
+    "three-siblings": ("(instance a (and (atleast 3 R) (atmost 2 R)))", "unsat", None),
+    # the sibling _v1 is merged into the exists variable _v0
+    "into-a-variable": (
+        "(instance a (and (atleast 2 R) (some R A) (atmost 2 R)))", "sat",
+        (Var(0), Var(2)),
+    ),
+    # the sibling _v0 is merged into the individual b
+    "into-an-individual": (
+        "(related a b R) (instance a (and (atleast 2 R) (atmost 2 R)))", "sat",
+        (Ind("b"), Var(1)),
+    ),
+}
+
+
+class TestSiblingGroups:
+    @pytest.mark.parametrize("name", sorted(SIBLING_KBS))
+    def test_merged_siblings_agree_with_the_hand_verdict(self, name):
+        text, expected, grouped = SIBLING_KBS[name]
+        kb = parse_kb(text)
+        verdict = kb_satisfiable(kb, Guards(debug_checks=True), self_check=True)
+        assert verdict.status == expected
+        found = find_model_bounded(kb, len(kb.individuals()) + 2, 20_000)
+        assert isinstance(found, Interpretation) == (expected == "sat")
+        if grouped is not None:
+            completion = complete(translate_kb(kb)).completion
+            x, y = grouped
+            assert completion.groups_of(x) and completion.separated(x, y)
+            assert completion.role_successors(Ind("a"), role("R")) == [x, y]
+
+    def test_a_sibling_gained_in_a_merge_depends_on_it(self):
+        # merging _v0 into b makes b a sibling of _v1, and the number clash on
+        # a rests on that: the search tries the other merge before the `or`
+        text, _ = JUMP_KBS["merge-moves-an-atleast-pair"]
+        result = complete(translate_kb(parse_kb(text)), trace=Trace(limit=None))
+        assert result.stats == SearchStats(branches=4, skipped=0, max_depth=2)
+        assert "atmost on a: a : (atmost 2 R) choice 2/2 | subst: _v1 -> b" \
+            in result.trace.lines()[4]
+
+    def test_a_large_atleast_builds_no_sibling_pairs(self):
+        import tracemalloc
+
+        kb = parse_kb("(instance a (atleast 600 R))")
+        tracemalloc.start()
+        try:
+            verdict = kb_satisfiable(kb, self_check=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == "sat"
+        # 179,700 stored `Distinct` pairs would take tens of megabytes
+        assert peak < 2_000_000
+
+    def test_the_atleast_trace_lists_every_sibling_pair(self):
+        result = complete(
+            translate_kb(parse_kb("(instance a (atleast 3 R))")), trace=Trace(limit=None)
+        )
+        assert result.trace.lines() == [
+            "step 1: atleast on a: a : (atleast 3 R) | added: _v0 != _v1, _v0 != _v2,"
+            " _v1 != _v2, a R _v0, a R _v1, a R _v2",
+            "step 2: blocked on _v1 | witness: _v0",
+            "step 3: blocked on _v2 | witness: _v0",
+        ]
+        assert result.completion.size == len(result.completion.constraints) == 7
