@@ -11,7 +11,7 @@ makes model checking trivial.
 from __future__ import annotations
 
 from .constraints import ConstraintSystem, Ind, object_str
-from .semantics import Assignment, Interpretation, eval_concept
+from .semantics import Assignment, Extensions, Interpretation
 from .syntax import Name
 from .tableau import detect_clash, first_rule_instance
 
@@ -26,6 +26,7 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
     clash = detect_clash(system)
     if clash is not None:
         raise ValueError(f"cannot extract a model from a clashed system ({clash.kind})")
+    witnesses = system.witnesses()  # the completeness scan's blocking reads it
     if first_rule_instance(system) is not None:
         raise ValueError("cannot extract a model from an incomplete system")
 
@@ -41,11 +42,9 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
                 concepts.setdefault(c.name, set()).add(element[o])
         for p, targets in system.link_targets(o).items():
             roles.setdefault(p, set()).update((element[o], element[t]) for t in targets)
-    for v in system.variables():
-        w = system.witness(v)
-        if w is not None:
-            for p, targets in system.link_targets(w).items():
-                roles[p].update((element[v], element[t]) for t in targets)
+    for v, w in witnesses.items():
+        for p, targets in system.link_targets(w).items():
+            roles[p].update((element[v], element[t]) for t in targets)
 
     individuals = {o.name: element[o] for o in objects if isinstance(o, Ind)}
     interp = Interpretation(
@@ -59,18 +58,21 @@ def satisfies_system(
     system: ConstraintSystem, interp: Interpretation, assignment: Assignment
 ) -> bool:
     """Check every constraint of the system against (interp, assignment):
-    distinct individuals get distinct elements (unique names), and so do the
-    members of each sibling group (its `!=` pairs)."""
+    every global, label and link, and distinct elements for distinct
+    individuals (unique names) and for the members of each sibling group
+    (its `!=` pairs).  One shared Extensions builds each concept's
+    extension and each role's successor map once per check."""
+    ext = Extensions(interp)
     individuals = system.individuals()
     if len({assignment.of(a) for a in individuals}) < len(individuals):
         return False
     for g in system.global_concepts():
-        if eval_concept(interp, g) != interp.domain:
+        if ext(g) != interp.domain:
             return False
     for o in system.objects():
         e = assignment.of(o)
         for c in system.member_concepts(o):
-            if e not in eval_concept(interp, c):
+            if e not in ext(c):
                 return False
         for p, targets in system.link_targets(o).items():
             pairs = interp.roles.get(p, frozenset())

@@ -95,6 +95,17 @@ class Member:
             raise ValueError(f"membership concepts must be simple: {render_concept(self.concept)}")
         object.__setattr__(self, "_hash", hash((2, self.obj, self.concept)))
 
+    @classmethod
+    def _trusted(cls, obj: Object, concept: Concept) -> "Member":
+        """A membership built without the simplicity check, for a concept
+        known to be simple: the search's rules only add subconcepts of
+        simple label and global concepts (checked with `debug_checks`)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "obj", obj)
+        object.__setattr__(m, "concept", concept)
+        object.__setattr__(m, "_hash", hash((2, obj, concept)))
+        return m
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -122,6 +133,15 @@ class Global:
         if not is_simple(self.concept):
             raise ValueError(f"global constraints must be simple: {render_concept(self.concept)}")
         object.__setattr__(self, "_hash", hash((4, self.concept)))
+
+    @classmethod
+    def _trusted(cls, concept: Concept) -> "Global":
+        """A global constraint built without the simplicity check, for a
+        concept taken from a system's globals."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "concept", concept)
+        object.__setattr__(g, "_hash", hash((4, concept)))
+        return g
 
     def __hash__(self) -> int:
         return self._hash
@@ -205,7 +225,7 @@ class ConstraintSystem:
     __slots__ = (
         "next_var_index", "kb", "size",
         "_labels", "_links", "_groups", "_globals", "_objects",
-        "_members_sorted", "_constraints",
+        "_members_sorted", "_constraints", "_witnesses",
     )
 
     def __init__(self, constraints: Iterable[Constraint], next_var_index: int,
@@ -220,6 +240,7 @@ class ConstraintSystem:
         self._objects: list[Object] = []
         self._members_sorted: dict[Object, list[Concept]] = {}
         self._constraints: frozenset[Constraint] | None = None
+        self._witnesses: dict[Var, Var] | None = None
         self._add(constraints)
 
     def _add(self, batch: Iterable[Constraint]) -> None:
@@ -306,10 +327,10 @@ class ConstraintSystem:
     def _each(self, swap=lambda o: o) -> Iterator[Constraint]:
         """Every constraint but the `!=` pairs, rebuilt from the indexes, with
         each object o written as swap(o)."""
-        yield from map(Global, self._globals)
+        yield from map(Global._trusted, self._globals)
         for o, cs in self._labels.items():
             s = swap(o)
-            yield from (Member(s, c) for c in cs)
+            yield from (Member._trusted(s, c) for c in cs)
         for o, by_role in self._links.items():
             s = swap(o)
             yield from (RoleLink(s, p, swap(t)) for p, ts in by_role.items() for t in ts)
@@ -418,7 +439,10 @@ class ConstraintSystem:
         return self.member_concepts(x) == self.member_concepts(y)
 
     def witness(self, x: Var) -> Var | None:
-        """The least earlier variable carrying exactly the same label set."""
+        """The least earlier variable carrying exactly the same label set.
+        Read from `witnesses()` once that has run, else found by a scan."""
+        if self._witnesses is not None:
+            return self._witnesses.get(x)
         labels = self._labels
         mine = labels.get(x, _EMPTY)
         for w in self._objects:
@@ -429,6 +453,20 @@ class ConstraintSystem:
                     return w
         return None
 
+    def witnesses(self) -> dict[Var, Var]:
+        """Every blocked variable -> its witness, in variable order, from one
+        pass that maps each label set to its first variable; cached."""
+        if self._witnesses is None:
+            first: dict[frozenset[Concept], Var] = {}
+            found = {}
+            for v in self._objects:
+                if isinstance(v, Var):
+                    w = first.setdefault(self._labels[v], v)
+                    if w is not v:
+                        found[v] = w
+            self._witnesses = found
+        return self._witnesses
+
     def is_blocked(self, x: Object) -> bool:
         return isinstance(x, Var) and self.witness(x) is not None
 
@@ -437,8 +475,9 @@ class ConstraintSystem:
         for c in chain(self._globals, *self._labels.values()):
             concepts |= subconcepts(c)
         variables = self.variables()
-        unblocked = sum(1 for v in variables if not self.is_blocked(v))
-        return SystemMetrics(len(concepts), len(variables), unblocked)
+        return SystemMetrics(
+            len(concepts), len(variables), len(variables) - len(self.witnesses())
+        )
 
     # -- derived systems ------------------------------------------------------
 
@@ -458,6 +497,7 @@ class ConstraintSystem:
         child._objects = self._objects
         child._members_sorted = self._members_sorted
         child._constraints = None
+        child._witnesses = None
         child._add(added)
         return child
 

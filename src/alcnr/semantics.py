@@ -78,51 +78,87 @@ def role_pairs(interp: Interpretation, r: Role) -> frozenset[tuple[str, str]]:
     return pairs
 
 
+class Extensions:
+    """The extensions of concepts in one interpretation, each computed once.
+
+    Calling it evaluates a concept; it memoizes concept -> extension and
+    role -> successor map, so a check that evaluates many memberships in
+    one interpretation (satisfies_system, is_model) builds each extension
+    and each role's successor map once."""
+
+    __slots__ = ("interp", "_concepts", "_successors")
+
+    def __init__(self, interp: Interpretation):
+        self.interp = interp
+        self._concepts: dict[Concept, frozenset[str]] = {}
+        self._successors: dict[Role, dict[str, set[str]]] = {}
+
+    def __call__(self, c: Concept) -> frozenset[str]:
+        found = self._concepts.get(c)
+        if found is None:
+            found = self._concepts[c] = self._evaluate(c)
+        return found
+
+    def successors(self, r: Role) -> dict[str, set[str]]:
+        """Element -> its r-successors, for every element of the domain."""
+        succ = self._successors.get(r)
+        if succ is None:
+            succ = self._successors[r] = {d: set() for d in self.interp.domain}
+            for s, t in role_pairs(self.interp, r):
+                succ[s].add(t)
+        return succ
+
+    def _evaluate(self, c: Concept) -> frozenset[str]:
+        interp = self.interp
+        if isinstance(c, Name):
+            return interp.concepts.get(c.name, frozenset())
+        if isinstance(c, Top):
+            return interp.domain
+        if isinstance(c, Bottom):
+            return frozenset()
+        if isinstance(c, And):
+            return self(c.left) & self(c.right)
+        if isinstance(c, Or):
+            return self(c.left) | self(c.right)
+        if isinstance(c, Not):
+            return interp.domain - self(c.concept)
+        if isinstance(c, (All, Some, AtLeast, AtMost)):
+            succ = self.successors(c.role)
+            if isinstance(c, All):
+                inner = self(c.concept)
+                return frozenset(d for d in interp.domain if succ[d] <= inner)
+            if isinstance(c, Some):
+                inner = self(c.concept)
+                return frozenset(d for d in interp.domain if succ[d] & inner)
+            if isinstance(c, AtLeast):
+                return frozenset(d for d in interp.domain if len(succ[d]) >= c.count)
+            return frozenset(d for d in interp.domain if len(succ[d]) <= c.count)
+        raise TypeError(f"not a concept: {c!r}")
+
+
 def eval_concept(interp: Interpretation, c: Concept) -> frozenset[str]:
-    if isinstance(c, Name):
-        return interp.concepts.get(c.name, frozenset())
-    if isinstance(c, Top):
-        return interp.domain
-    if isinstance(c, Bottom):
-        return frozenset()
-    if isinstance(c, And):
-        return eval_concept(interp, c.left) & eval_concept(interp, c.right)
-    if isinstance(c, Or):
-        return eval_concept(interp, c.left) | eval_concept(interp, c.right)
-    if isinstance(c, Not):
-        return interp.domain - eval_concept(interp, c.concept)
-    if isinstance(c, (All, Some, AtLeast, AtMost)):
-        pairs = role_pairs(interp, c.role)
-        succ: dict[str, set[str]] = {d: set() for d in interp.domain}
-        for s, t in pairs:
-            succ[s].add(t)
-        if isinstance(c, All):
-            inner = eval_concept(interp, c.concept)
-            return frozenset(d for d in interp.domain if succ[d] <= inner)
-        if isinstance(c, Some):
-            inner = eval_concept(interp, c.concept)
-            return frozenset(d for d in interp.domain if succ[d] & inner)
-        if isinstance(c, AtLeast):
-            return frozenset(d for d in interp.domain if len(succ[d]) >= c.count)
-        return frozenset(d for d in interp.domain if len(succ[d]) <= c.count)
-    raise TypeError(f"not a concept: {c!r}")
+    """The extension of c in interp.  To evaluate many concepts in one
+    interpretation, share one Extensions instead."""
+    return Extensions(interp)(c)
 
 
 def is_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
-    """True iff every inclusion and every assertion of kb holds in interp."""
+    """True iff every inclusion and every assertion of kb holds in interp;
+    the check shares one Extensions."""
     for ind in sorted(kb.individuals()):
         if ind not in interp.individuals:
             raise ValueError(f"no element assigned to individual {ind}")
+    ext = Extensions(interp)
     for inc in kb.tbox:
-        if not eval_concept(interp, inc.lhs) <= eval_concept(interp, inc.rhs):
+        if not ext(inc.lhs) <= ext(inc.rhs):
             return False
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
-            if interp.individuals[a.individual] not in eval_concept(interp, a.concept):
+            if interp.individuals[a.individual] not in ext(a.concept):
                 return False
         else:
-            pair = (interp.individuals[a.subject], interp.individuals[a.target])
-            if pair not in role_pairs(interp, a.role):
+            succ = ext.successors(a.role)[interp.individuals[a.subject]]
+            if interp.individuals[a.target] not in succ:
                 return False
     return True
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .canonical import extract_model, satisfies_system
 from .constraints import translate_kb
-from .semantics import Assignment, Interpretation, is_model
+from .semantics import Assignment, Interpretation, eval_concept, is_model
 from .syntax import (
     And, Concept, ConceptAssertion, FRESH_INDIVIDUAL, KnowledgeBase, Not,
 )
@@ -141,16 +141,39 @@ def instance_of(
 def instance_checks(
     kb: KnowledgeBase, c: Concept, guards: Guards | None = None
 ) -> dict[str, TruthVerdict]:
-    """instance_of for every individual of kb, checked one after another, in
-    name order."""
-    return {a: instance_of(kb, a, c, guards) for a in sorted(kb.individuals())}
+    """The instance_of answer for every individual of kb, in name order.
+
+    kb itself is decided first, once, with the self-check.  If it is
+    inconsistent, every individual is an instance.  If it is consistent,
+    its canonical model has passed is_model, so an individual outside c in
+    that model is a sound non-instance and needs no tableau run of its own
+    (model-based retrieval pruning).  The remaining individuals, and all of
+    them when deciding kb hit a guard, get an instance_of run each.  A kb
+    without individuals makes no run."""
+    names = sorted(kb.individuals())
+    if not names:
+        return {}
+    verdict = kb_satisfiable(kb, guards, self_check=True)
+    if verdict.status == "unsat":
+        return {a: TruthVerdict(True) for a in names}
+    outside: set[str] = set()
+    if verdict.is_sat:
+        interp = verdict.interpretation
+        members = eval_concept(interp, c)
+        outside = {a for a in names if interp.individuals[a] not in members}
+    return {
+        a: TruthVerdict(False) if a in outside else instance_of(kb, a, c, guards)
+        for a in names
+    }
 
 
 def instances(
     kb: KnowledgeBase, c: Concept, guards: Guards | None = None
 ) -> frozenset[str]:
-    """The individuals provably in c.  Raises InconclusiveError if any
-    individual's check hits a guard, since UNKNOWN is not "not a member"."""
+    """The individuals provably in c, from instance_checks (one decision of
+    kb, then a run only for the individuals its model puts in c).  Raises
+    InconclusiveError if any individual's check hits a guard, since UNKNOWN
+    is not "not a member"."""
     checks = instance_checks(kb, c, guards)
     if any(truth.value is None for truth in checks.values()):
         raise InconclusiveError(checks)

@@ -45,8 +45,13 @@ from .constraints import (
 )
 from .syntax import (
     BOTTOM, All, And, AtLeast, AtMost, Bottom, Concept, Name, Not, Or, Role,
-    Some, concept_key, render_concept,
+    Some, concept_key, is_simple, render_concept,
 )
+
+# Every membership the rules build has a subconcept of a simple label or
+# global concept, so it skips Member's simplicity check (the search checks
+# each new label concept once under `debug_checks`).
+_member = Member._trusted
 
 RULE_AND = "and"
 RULE_OR = "or"
@@ -216,39 +221,39 @@ def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInsta
         if isinstance(c, And) and not (
             system.has_member(o, c.left) and system.has_member(o, c.right)
         ):
-            yield RuleInstance(RULE_AND, o, Member(o, c))
+            yield RuleInstance(RULE_AND, o, _member(o, c))
     for c in members:
         if isinstance(c, All):
             for t in system.role_successors(o, c.role):
                 if not system.has_member(t, c.concept):
-                    yield RuleInstance(RULE_FORALL, o, Member(o, c), successor=t)
+                    yield RuleInstance(RULE_FORALL, o, _member(o, c), successor=t)
     for g in system.global_concepts():
         if not system.has_member(o, g):
-            yield RuleInstance(RULE_GLOBAL, o, Global(g))
+            yield RuleInstance(RULE_GLOBAL, o, Global._trusted(g))
     for c in members:
         if isinstance(c, Or) and not (
             system.has_member(o, c.left) or system.has_member(o, c.right)
         ):
-            yield RuleInstance(RULE_OR, o, Member(o, c), choices=(c.left, c.right))
+            yield RuleInstance(RULE_OR, o, _member(o, c), choices=(c.left, c.right))
     for c in members:
         if isinstance(c, AtMost):
             succ = system.role_successors(o, c.role)
             if len(succ) > c.count:
                 pairs = _merge_pairs(system, succ)
                 if pairs:
-                    yield RuleInstance(RULE_ATMOST, o, Member(o, c), choices=pairs)
+                    yield RuleInstance(RULE_ATMOST, o, _member(o, c), choices=pairs)
     if system.is_blocked(o):
         return
     for c in members:
         if isinstance(c, Some):
             succ = system.role_successors(o, c.role)
             if not any(system.has_member(t, c.concept) for t in succ):
-                yield RuleInstance(RULE_EXISTS, o, Member(o, c))
+                yield RuleInstance(RULE_EXISTS, o, _member(o, c))
     for c in members:
         if isinstance(c, AtLeast):
             succ = system.role_successors(o, c.role)
             if not _has_separated_clique(system, succ, c.count):
-                yield RuleInstance(RULE_ATLEAST, o, Member(o, c))
+                yield RuleInstance(RULE_ATLEAST, o, _member(o, c))
 
 
 def _iter_instances(system: ConstraintSystem, from_key=None) -> Iterator[RuleInstance]:
@@ -294,22 +299,22 @@ def _apply(
     o = inst.target
     if inst.rule == RULE_AND:
         c = inst.constraint.concept
-        added: list[Constraint] = [Member(o, c.left), Member(o, c.right)]
+        added: list[Constraint] = [_member(o, c.left), _member(o, c.right)]
         return system.extended(added), added
     if inst.rule == RULE_OR:
-        added = [Member(o, inst.choices[choice])]
+        added = [_member(o, inst.choices[choice])]
         return system.extended(added), added
     if inst.rule == RULE_FORALL:
-        added = [Member(inst.successor, inst.constraint.concept.concept)]
+        added = [_member(inst.successor, inst.constraint.concept.concept)]
         return system.extended(added), added
     if inst.rule == RULE_GLOBAL:
-        added = [Member(o, inst.constraint.concept)]
+        added = [_member(o, inst.constraint.concept)]
         return system.extended(added), added
     if inst.rule == RULE_EXISTS:
         c = inst.constraint.concept
         y = Var(system.next_var_index)
         added = [RoleLink(o, p, y) for p in c.role.names]
-        added.append(Member(y, c.concept))
+        added.append(_member(y, c.concept))
         return system.extended(added, next_var_index=y.index + 1), added
     if inst.rule == RULE_ATLEAST:
         c = inst.constraint.concept
@@ -418,6 +423,7 @@ class _Searcher:
         self._reach: dict[Object, int] = {}
         self._trail: list[tuple[Object, int]] = []
         self._concepts = 0  # debug: the concept count, fixed within a search
+        self._simple: set[Concept] = set()  # debug: label concepts checked simple
 
     def run(self, system: ConstraintSystem) -> ConstraintSystem | None:
         clash = detect_clash(system)
@@ -468,6 +474,8 @@ class _Searcher:
                     base.size + k * len(c.role.names) + k * (k - 1) // 2,
                 )
             nxt, added = _apply(base, inst, i)
+            if self.guards.debug_checks:
+                self._check_simple(added)
             if stack:
                 self._record(base, inst, i, added, len(stack) - 1)
             # the objects that can gain a clash or an instance: the target and
@@ -585,14 +593,12 @@ class _Searcher:
     # -- completion, guards, trace, debug invariants ------------------------
 
     def _completion(self, system: ConstraintSystem) -> ConstraintSystem:
-        for v in system.variables():
-            w = system.witness(v)
-            if w is not None:
-                if self.guards.debug_checks and system.has_successors(v):
-                    raise InvariantViolation(
-                        f"blocked variable {object_str(v)} has a direct successor"
-                    )
-                self.trace.emit(f"blocked on {object_str(v)} | witness: {object_str(w)}")
+        for v, w in system.witnesses().items():
+            if self.guards.debug_checks and system.has_successors(v):
+                raise InvariantViolation(
+                    f"blocked variable {object_str(v)} has a direct successor"
+                )
+            self.trace.emit(f"blocked on {object_str(v)} | witness: {object_str(w)}")
         return system
 
     def _check_sizes(self, next_var_index: int, constraint_count: int) -> None:
@@ -623,6 +629,14 @@ class _Searcher:
                 parts.append(f"| clash: {clash.kind}")
             self.trace.emit(" ".join(parts))
         return clash
+
+    def _check_simple(self, added) -> None:
+        """Debug: each new label concept, once per search, is simple."""
+        for c in added:
+            if isinstance(c, Member) and c.concept not in self._simple:
+                if not is_simple(c.concept):
+                    raise InvariantViolation(f"{constraint_str(c)}: not simple")
+                self._simple.add(c.concept)
 
     def _checked(self, old, new, inst, snapshots):
         """Debug-mode invariants, run after each application."""

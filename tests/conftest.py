@@ -38,6 +38,17 @@ EX33_TEXT = """\
 (instance susan (some FRIEND Italian))
 """
 
+
+def teachers_kb(n: int):
+    """The university TBox with n independent teachers: t_i teaches the
+    course c_i and holds at most one degree."""
+    tbox = "".join(EX21_TEXT.splitlines(keepends=True)[:4])
+    return parse_kb(tbox + "".join(
+        f"(related t{i} c{i} TEACHES) (instance t{i} (atmost 1 DEGREE))"
+        f" (instance c{i} Course)\n" for i in range(n)
+    ))
+
+
 UNA_CLASH_TEXT = """\
 (instance a (atmost 1 R))
 (related a b R)

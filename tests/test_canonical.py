@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
 
 from alcnr import (
-    Assignment, Guards, Var, complete, extract_model, is_model, parse_kb,
-    satisfies_system, translate_kb,
+    All, Assignment, AtMost, ConceptAssertion, Guards, Interpretation, Name, Not, Some, Var,
+    complete, eval_concept, extract_model, is_model, parse_kb, role,
+    role_pairs, satisfies_system, translate_kb,
 )
+from alcnr import semantics
 from alcnr.constraints import Ind
 from _generators import random_kbs
+from conftest import teachers_kb
 
 
 class TestExtractModel:
@@ -101,3 +106,96 @@ class TestSelfCheck:
         assert satisfies_system(result.completion, interp, assignment)
         merged = Assignment({**assignment.mapping, Var(1): assignment.of(Var(0))})
         assert not satisfies_system(result.completion, interp, merged)
+
+
+def _with(interp, concepts=(), roles=()):
+    return Interpretation(interp.domain, {**interp.concepts, **dict(concepts)},
+                          {**interp.roles, **dict(roles)}, interp.individuals)
+
+
+def _mutants(completion, interp, assignment):
+    """Models that each break one label of the completion by one change: an
+    element leaves a name's extension (for a negated name, joins it), or a
+    role pair is dropped under a some, or added under an all or an atmost.
+    A mutant is kept only if a fresh evaluation of the label rejects it."""
+    for o in completion.objects():
+        e = assignment.of(o)
+        for c in completion.member_concepts_sorted(o):
+            if isinstance(c, Name):
+                mutant = _with(interp, {c.name: interp.concepts[c.name] - {e}})
+            elif isinstance(c, Not):
+                a = c.concept.name
+                mutant = _with(interp, {a: interp.concepts[a] | {e}})
+            elif isinstance(c, (All, Some, AtMost)):
+                succ = {t for s, t in role_pairs(interp, c.role) if s == e}
+                if isinstance(c, Some):
+                    hits = sorted(succ & eval_concept(interp, c.concept))
+                    if len(hits) != 1:
+                        continue
+                    p = c.role.names[0]
+                    mutant = _with(interp, roles={p: interp.roles[p] - {(e, hits[0])}})
+                else:
+                    if isinstance(c, All):
+                        outside = interp.domain - eval_concept(interp, c.concept)
+                    else:
+                        outside = interp.domain - succ if len(succ) == c.count else ()
+                    if not outside:
+                        continue
+                    t = min(outside)
+                    mutant = _with(interp, roles={
+                        p: interp.roles[p] | {(e, t)} for p in c.role.names})
+            else:
+                continue
+            if e not in eval_concept(mutant, c):
+                yield mutant
+
+
+def _is_model_fresh(interp, kb) -> bool:
+    """is_model with a fresh evaluation of every axiom."""
+    return all(
+        eval_concept(interp, inc.lhs) <= eval_concept(interp, inc.rhs) for inc in kb.tbox
+    ) and all(
+        interp.individuals[a.individual] in eval_concept(interp, a.concept)
+        if isinstance(a, ConceptAssertion) else
+        (interp.individuals[a.subject], interp.individuals[a.target])
+        in role_pairs(interp, a.role)
+        for a in kb.abox
+    )
+
+
+class TestSharedExtensions:
+    def test_checks_reject_mutated_models(self):
+        completions = rejected = 0
+        for kb in random_kbs(seed=4444, count=450):
+            result = complete(translate_kb(kb))
+            if result.status != "sat":
+                continue
+            interp, assignment = extract_model(result.completion)
+            assert is_model(interp, kb)
+            mutants = list(_mutants(result.completion, interp, assignment))
+            completions += bool(mutants)
+            for mutant in mutants:
+                assert not satisfies_system(result.completion, mutant, assignment)
+                model = is_model(mutant, kb)
+                assert model == _is_model_fresh(mutant, kb)
+                rejected += not model
+        assert completions >= 300
+        assert rejected >= 300
+
+    def test_one_successor_map_per_role(self, monkeypatch):
+        kb = teachers_kb(40)
+        completion = complete(translate_kb(kb)).completion
+        interp, assignment = extract_model(completion)
+        calls = Counter()
+        counted = semantics.role_pairs
+
+        def counting(interp, r):
+            calls[r] += 1
+            return counted(interp, r)
+
+        monkeypatch.setattr(semantics, "role_pairs", counting)
+        assert satisfies_system(completion, interp, assignment)
+        assert calls == {role("TEACHES"): 1, role("DEGREE"): 1}
+        calls.clear()
+        assert is_model(interp, kb)
+        assert calls == {role("TEACHES"): 1, role("DEGREE"): 1}

@@ -5,9 +5,10 @@ import pytest
 from alcnr import (
     And, ConstraintSystem, Distinct, Global, Ind, Member, Name, Not, Or,
     RoleLink, Some, TOP, Var, applicable_rule_instances, apply_rule_instance,
-    parse_kb, role, translate_kb,
+    complete, parse_kb, role, translate_kb,
 )
 from alcnr.constraints import AUX_INDIVIDUAL, object_key, object_str
+from _generators import random_kbs
 
 
 class TestTranslate:
@@ -173,6 +174,29 @@ class TestWitness:
         assert system.witness(Var(1)) == Var(0)
         # a witness is itself never blocked
         assert system.witness(Var(0)) is None
+
+    def test_the_witness_map_matches_the_scan(self, s10):
+        a = Name("A")
+        system = ConstraintSystem(
+            frozenset({Member(Var(0), a), Member(Var(1), Name("B")), Member(Var(2), a)}),
+            3, parse_kb(""),
+        )
+        assert system.witnesses() == {Var(2): Var(0)}
+        assert s10.witnesses() == {Var(1): Var(0)}
+        blocked = 0
+        for kb in random_kbs(seed=5555, count=200):
+            result = complete(translate_kb(kb))
+            if result.status != "sat":
+                continue
+            system = result.completion.extended([])  # no witness map yet
+            scanned = [(v, system.witness(v)) for v in system.variables()]
+            found = system.witnesses()
+            # in variable order, as the trace's "blocked on" lines need
+            assert list(found.items()) == [(v, w) for v, w in scanned if w is not None]
+            assert [(v, system.witness(v)) for v in system.variables()] == scanned
+            assert result.completion.witnesses() == found
+            blocked += len(found)
+        assert blocked >= 20
 
 
 class TestMetrics:

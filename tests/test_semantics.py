@@ -3,10 +3,12 @@ import random
 import pytest
 
 from alcnr import (
-    And, AtLeast, AtMost, BOTTOM, BUDGET_EXCEEDED, Interpretation, Name,
-    NOT_FOUND, Not, Or, Some, TOP, eval_concept, find_model_bounded, is_model,
-    parse_interpretation, parse_kb, render_interpretation, role,
+    All, And, AtLeast, AtMost, BOTTOM, BUDGET_EXCEEDED, Bottom, Interpretation,
+    Name, NOT_FOUND, Not, Or, Some, TOP, Top, eval_concept, find_model_bounded,
+    is_model, parse_interpretation, parse_kb, render_interpretation, role,
+    role_pairs,
 )
+from alcnr.semantics import Extensions
 from _generators import random_concept, random_interpretation, random_kbs
 
 
@@ -52,6 +54,39 @@ class TestEvalConcept:
         for _ in range(50):
             interp = random_interpretation(rng)
             assert eval_concept(interp, AtLeast(0, role("R"))) == interp.domain
+
+    def test_one_shared_memo_matches_fresh_evaluations(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            interp = random_interpretation(rng)
+            ext = Extensions(interp)
+            concepts = [random_concept(rng, rng.randint(0, 3)) for _ in range(200)]
+            for c in concepts + concepts[::-1]:
+                fresh = eval_concept(interp, c)
+                assert ext(c) == fresh
+                assert fresh == {d for d in interp.domain if _holds(interp, d, c)}
+
+
+def _holds(interp, d, c) -> bool:
+    """Does element d belong to c?  The semantics, element by element."""
+    if isinstance(c, Name):
+        return d in interp.concepts.get(c.name, ())
+    if isinstance(c, (Top, Bottom)):
+        return isinstance(c, Top)
+    if isinstance(c, Not):
+        return not _holds(interp, d, c.concept)
+    if isinstance(c, And):
+        return _holds(interp, d, c.left) and _holds(interp, d, c.right)
+    if isinstance(c, Or):
+        return _holds(interp, d, c.left) or _holds(interp, d, c.right)
+    succ = [t for s, t in role_pairs(interp, c.role) if s == d]
+    if isinstance(c, All):
+        return all(_holds(interp, t, c.concept) for t in succ)
+    if isinstance(c, Some):
+        return any(_holds(interp, t, c.concept) for t in succ)
+    if isinstance(c, AtLeast):
+        return len(succ) >= c.count
+    return len(succ) <= c.count
 
 
 class TestIsModel:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from alcnr import (
@@ -6,9 +8,10 @@ from alcnr import (
     concept_satisfiable, instance_checks, instance_of, instances, is_model,
     kb_satisfiable, parse_kb, role, subsumed_by,
 )
+from alcnr import services
 from alcnr.services import augment_for_concept_sat, augment_for_instance
-from _generators import random_kbs
-from conftest import EX21_TEXT
+from _generators import random_concept, random_kbs
+from conftest import EX21_TEXT, teachers_kb
 
 GUARDS = Guards(debug_checks=True)
 
@@ -159,3 +162,60 @@ class TestDecidedByBackjumping:
         assert kb_satisfiable(kb, suite, self_check=True).status == "sat"
         c = Not(And(BOTTOM, Name("C")))
         assert concept_satisfiable(kb, c, suite, self_check=True).status == "sat"
+
+
+class TestModelPrunedRetrieval:
+    """instance_checks decides the KB once and runs the tableau only for the
+    individuals its canonical model puts in the concept."""
+
+    @staticmethod
+    def _counting(monkeypatch) -> list:
+        runs = []
+        searched = services.complete
+
+        def complete(system, guards=None, trace=None):
+            runs.append(system)
+            return searched(system, guards, trace)
+
+        monkeypatch.setattr(services, "complete", complete)
+        return runs
+
+    @staticmethod
+    def _agrees_with_one_run_each(kb, c) -> None:
+        loop = {a: instance_of(kb, a, c) for a in sorted(kb.individuals())}
+        assert instance_checks(kb, c) == loop
+        assert instances(kb, c) == frozenset(a for a, truth in loop.items() if truth.value)
+
+    def test_matches_one_run_per_individual(self, kb21, kb33):
+        rng = random.Random(66)
+        for kb in random_kbs(seed=66, count=40):
+            for c in (Name("A"), Not(Name("B")), random_concept(rng, 2)):
+                self._agrees_with_one_run_each(kb, c)
+        for kb, names in ((kb21, ("Student", "Prof", "Course")), (kb33, ("Italian",)),
+                          (teachers_kb(3), ("Course", "Student"))):
+            for name in names:
+                self._agrees_with_one_run_each(kb, Name(name))
+                self._agrees_with_one_run_each(kb, Not(Name(name)))
+            self._agrees_with_one_run_each(kb, Some(role("DEGREE"), Name("BS")))
+        self._agrees_with_one_run_each(teachers_kb(10), Name("Course"))
+
+    def test_the_model_refutes_all_but_the_courses(self, monkeypatch):
+        kb = teachers_kb(10)
+        runs = self._counting(monkeypatch)
+        found = instances(kb, Name("Course"))
+        assert found == frozenset(f"c{i}" for i in range(10))
+        assert len(runs) == 1 + 10
+
+    def test_an_inconsistent_kb_makes_one_run(self, monkeypatch):
+        kb = parse_kb("(instance a BOTTOM) (instance b A) (related b c R)")
+        runs = self._counting(monkeypatch)
+        checks = instance_checks(kb, Name("B"))
+        assert checks == {a: TruthVerdict(True) for a in ("a", "b", "c")}
+        assert len(runs) == 1
+
+    def test_an_empty_abox_makes_no_run(self, monkeypatch):
+        kb = parse_kb("(implies A (some R A))")
+        runs = self._counting(monkeypatch)
+        assert instance_checks(kb, Name("A")) == {}
+        assert instances(kb, Name("A")) == frozenset()
+        assert runs == []

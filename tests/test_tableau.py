@@ -4,18 +4,20 @@ import sys
 import pytest
 
 from alcnr import (
-    Distinct, Guards, Ind, Interpretation, Member, Name, Not, RoleLink,
+    And, ConstraintSystem, Distinct, Guards, Ind, Interpretation, Member, Name, Not, RoleLink,
     SearchStats, Some, Trace, Var, applicable_rule_instances,
     apply_rule_instance, complete, detect_clash, extract_model,
     find_model_bounded, first_rule_instance, is_complete, is_model,
     kb_satisfiable, parse_kb, role, satisfies_system, translate_kb,
 )
 from alcnr.services import augment_for_instance
+from alcnr import constraints
 from alcnr.tableau import (
     BRANCHING_RULES, GENERATING_RULES, RULE_ATLEAST, RULE_ATMOST, RULE_EXISTS,
-    RULE_FORALL, RULE_OR,
+    RULE_FORALL, RULE_OR, InvariantViolation,
 )
 from _generators import _candidate_kb, random_kbs
+from conftest import teachers_kb
 from _system_oracle import system_satisfiable_bounded
 
 
@@ -370,6 +372,32 @@ class TestSearchInvariants:
                 else:
                     assert after.constraints > system.constraints
                 system = after
+
+
+class TestTrustedMemberships:
+    """The search builds its memberships without re-checking simplicity;
+    `debug_checks` checks each new label concept once."""
+
+    def test_the_search_runs_no_simplicity_check(self, monkeypatch):
+        systems = [translate_kb(teachers_kb(3)), translate_kb(parse_kb(
+            "(instance a (and (some R (or A B)) (atmost 1 R)))\n"
+            "(instance a (some R (all S (not A))))\n(implies A (atleast 2 S))"
+        ))]
+        calls = []
+        checked = constraints.is_simple
+        monkeypatch.setattr(constraints, "is_simple", lambda c: calls.append(c) or checked(c))
+        for system in systems:
+            assert complete(system).status == "sat"
+        assert calls == []
+        # translation and API callers still validate
+        with pytest.raises(ValueError, match="simple"):
+            Member(Ind("a"), Not(And(Name("A"), Name("B"))))
+
+    def test_debug_checks_catch_a_concept_that_is_not_simple(self):
+        bad = And(Name("A"), Not(And(Name("B"), Name("C"))))
+        system = ConstraintSystem([Member._trusted(Ind("a"), bad)], 0, parse_kb(""))
+        with pytest.raises(InvariantViolation, match="not simple"):
+            complete(system, Guards(debug_checks=True))
 
 
 class TestRuleInvariance:
