@@ -6,7 +6,8 @@ Rules and their side conditions:
     and      o : (C1 and C2) present, not both conjuncts present
     or       o : (C1 or C2) present, neither disjunct present   [branches]
     forall   o : (all R C) present, t an R-successor of o, t : C missing
-    global   forall : C present, object o present, o : C missing
+    global   forall : C present, object o present, o : C missing, no
+             disjunct of C vacuous at o                 (lazy unfolding)
     atmost   o : (atmost n R) present, more than n R-successors, some
              non-separated successor pair with a variable        [branches]
     exists   o : (some R C) present, no R-successor carries C    [creates]
@@ -19,6 +20,16 @@ generating ones (within that, deterministic rules precede the branching
 ones).  Generating rules are suppressed on blocked variables — a variable
 with an earlier label-identical witness — which is what terminates cyclic
 TBoxes.
+
+Lazy unfolding: a disjunct of a global concept C (C's `or`s flattened) is
+vacuous at o when it is `(not A)` with A not in o's label, or `(all R D)` or
+`(atmost n R)` while o has no link on a role name of R and no `some` or
+`atleast` concept on a role sharing a name with R.  A vacuous disjunct holds
+at o in the canonical model (a name's extension is the objects labelled with
+it, an object's successors are its links or, when blocked, its witness's,
+which has the same label), so C goes on o only once no disjunct is vacuous.
+A trigger (A, a link, a `some` or an `atleast` joining o) arrives before o's
+generating rules fire, so a variable's label is still final once they do.
 
 The search applies deterministic instances eagerly, branches on `or` (first
 disjunct first) and on `atmost` (merge pairs in canonical order, the
@@ -195,6 +206,22 @@ def _has_separated_clique(system: ConstraintSystem, objs: list[Object], size: in
                 counts[g] = counts.get(g, 0) + 1
     if len(greedy) >= size:
         return True
+    # Peel (a k-core pass): each member of a clique of `size` has size - 1
+    # separated peers in it, so drop every candidate with fewer peers among
+    # the candidates left, until no candidate left has fewer.
+    peers = {o: [p for p in objs if system.separated(o, p)] for o in objs}
+    degree = {o: len(ps) for o, ps in peers.items()}
+    drop = [o for o in objs if degree[o] < size - 1]
+    dropped = set(drop)
+    while drop:
+        for p in peers[drop.pop()]:
+            degree[p] -= 1
+            if degree[p] < size - 1 and p not in dropped:
+                dropped.add(p)
+                drop.append(p)
+    objs = [o for o in objs if o not in dropped]
+    if len(objs) < size:
+        return False
     for combo in combinations(objs, size):
         if all(system.separated(a, b) for a, b in combinations(combo, 2)):
             return True
@@ -215,8 +242,55 @@ def _merge_pairs(system: ConstraintSystem, successors: list[Object]) -> tuple:
     )
 
 
-def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInstance]:
+# The last globals tuple analysed, with its analysis.  No rule adds or drops
+# a global and every derived system shares its parent's tuple, so one entry
+# serves a whole search and keeps only one KB's globals alive.
+_last_unfolding: tuple = ((), ())
+
+
+def _unfolding(system: ConstraintSystem) -> tuple:
+    """Each global concept with its disjuncts that can be vacuous at an
+    object (its `or`s flattened): the names A of its `(not A)` disjuncts,
+    and the role names of each of its `(all R D)` and `(atmost n R)`
+    disjuncts."""
+    global _last_unfolding
+    key, found = _last_unfolding
+    if key is system.global_concepts():
+        return found
+    found = []
+    for g in system.global_concepts():
+        names: set[Name] = set()
+        roles: list[frozenset[str]] = []
+        todo = [g]
+        while todo:
+            c = todo.pop()
+            if isinstance(c, Or):
+                todo += (c.left, c.right)
+            elif isinstance(c, Not):
+                names.add(c.concept)
+            elif isinstance(c, (All, AtMost)):
+                roles.append(frozenset(c.role.names))
+        found.append((g, frozenset(names), tuple(roles)))
+    found = tuple(found)
+    _last_unfolding = (system.global_concepts(), found)
+    return found
+
+
+def _active_roles(system: ConstraintSystem, o: Object, members: list[Concept]) -> set[str]:
+    """The role names on which o has or may get successors: those of its
+    links and of its `some` and `atleast` concepts."""
+    active = set(system.link_targets(o))
+    for c in members:
+        if isinstance(c, (Some, AtLeast)):
+            active.update(c.role.names)
+    return active
+
+
+def _object_instances(
+    system: ConstraintSystem, o: Object, unfolding: tuple
+) -> Iterator[RuleInstance]:
     members = system.member_concepts_sorted(o)
+    labels = system.member_concepts(o)
     for c in members:
         if isinstance(c, And) and not (
             system.has_member(o, c.left) and system.has_member(o, c.right)
@@ -227,9 +301,16 @@ def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInsta
             for t in system.role_successors(o, c.role):
                 if not system.has_member(t, c.concept):
                     yield RuleInstance(RULE_FORALL, o, _member(o, c), successor=t)
-    for g in system.global_concepts():
-        if not system.has_member(o, g):
-            yield RuleInstance(RULE_GLOBAL, o, Global._trusted(g))
+    active = None
+    for g, names, roles in unfolding:
+        if g in labels or not names <= labels:
+            continue
+        if roles:
+            if active is None:
+                active = _active_roles(system, o, members)
+            if any(active.isdisjoint(r) for r in roles):
+                continue
+        yield RuleInstance(RULE_GLOBAL, o, Global._trusted(g))
     for c in members:
         if isinstance(c, Or) and not (
             system.has_member(o, c.left) or system.has_member(o, c.right)
@@ -257,10 +338,11 @@ def _object_instances(system: ConstraintSystem, o: Object) -> Iterator[RuleInsta
 
 
 def _iter_instances(system: ConstraintSystem, from_key=None) -> Iterator[RuleInstance]:
+    unfolding = _unfolding(system)
     objects = system.objects()
     start = 0 if from_key is None else bisect_left(objects, from_key, key=object_key)
     for o in islice(objects, start, None):
-        yield from _object_instances(system, o)
+        yield from _object_instances(system, o, unfolding)
 
 
 def applicable_rule_instances(system: ConstraintSystem) -> list[RuleInstance]:
@@ -507,8 +589,17 @@ class _Searcher:
     def _record(self, base, inst, i, added, level: int) -> None:
         """The masks of one application's new constraints: its premise's, plus
         the successor's links for forall, plus for a choice its level and, for
-        atmost, the links and `!=` pairs that fix the merge choices.  (A
-        global constraint's mask is 0.)"""
+        atmost, the links and `!=` pairs that fix the merge choices.
+
+        A global's membership gets mask 0, like an input constraint, though
+        it fires only once a trigger makes each of its disjuncts that can be
+        vacuous non-vacuous, and a trigger may rest on a choice.  A disjunct
+        that can be vacuous clashes only through its trigger: `(not A)` with
+        A, `(all R D)` and `(atmost n R)` through R-successors, whose `_reach`
+        holds their links' masks.  So the failed mask of the `or` point on
+        the global holds, for each such disjunct, a mask under which it is
+        non-vacuous: under that union the global fires at o, and the failure
+        holds there."""
         deps, rule = self._deps, inst.rule
         if rule == RULE_GLOBAL:
             mask = 0

@@ -11,13 +11,16 @@ from alcnr import (
     kb_satisfiable, parse_kb, role, satisfies_system, translate_kb,
 )
 from alcnr.services import augment_for_instance
-from alcnr import constraints
+from alcnr import constraints, tableau
+from alcnr.constraints import Siblings, object_key
 from alcnr.tableau import (
     BRANCHING_RULES, GENERATING_RULES, RULE_ATLEAST, RULE_ATMOST, RULE_EXISTS,
     RULE_FORALL, RULE_OR, InvariantViolation,
 )
 from _generators import _candidate_kb, random_kbs
-from conftest import teachers_kb
+from _kbs import clique_probe
+from _tbox_generators import tbox_heavy_kbs
+from conftest import _ex33_pieces, teachers_kb
 from _system_oracle import system_satisfiable_bounded
 
 
@@ -185,9 +188,13 @@ class TestDetectClash:
 
 class TestComplete:
     def test_cyclic_kb_completion_equals_the_hand_derivation(self, kb33, s10):
+        # lazy unfolding leaves the global off peter and susan, whose labels
+        # lack Italian: its (not Italian) disjunct holds there vacuously
+        italian, _, disj, peter, susan, *_ = _ex33_pieces()
+        unfolded = {Member(peter, disj), Member(susan, disj), Member(peter, Not(italian))}
         result = complete(translate_kb(kb33), Guards(debug_checks=True))
         assert result.status == "sat"
-        assert result.completion.constraints == s10.constraints
+        assert result.completion.constraints == s10.constraints - unfolded
         assert result.completion.witness(Var(1)) == Var(0)
 
     def test_exactly_two_variables_and_one_blocking(self, kb33):
@@ -494,8 +501,14 @@ class TestBackjumping:
         kb = augment_for_instance(kb21, "john", Name("Student"))
         result = complete(translate_kb(kb))
         assert result.status == "unsat"
-        # chronological backtracking takes 10,762 branches
+        # chronological backtracking with eager unfolding takes 10,762
+        # branches; lazy unfolding needs 13 and leaves nothing to jump over
         assert result.stats.branches < 100
+
+    def test_the_two_teacher_instance_query_jumps(self):
+        kb = augment_for_instance(teachers_kb(2), "t0", Name("Student"))
+        result = complete(translate_kb(kb))
+        assert result.status == "unsat"
         assert result.stats.skipped > 0
 
     def test_a_jump_over_a_merge_rewinds_its_dependencies(self):
@@ -608,3 +621,170 @@ class TestSiblingGroups:
             "step 3: blocked on _v2 | witness: _v0",
         ]
         assert result.completion.size == len(result.completion.constraints) == 7
+
+
+# hand KBs for lazy unfolding: (KB, verdict, two trace-line fragments, the
+# first of which must come on an earlier line than the second)
+LAZY_KBS = {
+    # A reaches a through b's `all` after a has been processed
+    "late-name": (
+        "(implies A B) (related b a P) (instance b (all P A)) (instance a (not B))",
+        "unsat", ("forall on b", "global on a"),
+    ),
+    "late-name-sat": (
+        "(implies A B) (related b a P) (instance b (all P A))",
+        "sat", ("forall on b", "global on a"),
+    ),
+    # an R link and an S link to one object make it an (and R S) successor
+    "conjunction-links": (
+        "(implies Q (all (and R S) C)) (instance a Q) (related a b R) (related a b S)"
+        " (instance b (not C))",
+        "unsat", ("global on a", "forall on a"),
+    ),
+    # the atmost merge makes _v0 an (and R S) successor of a
+    "conjunction-by-merge": (
+        "(implies Q (all (and R S) C))"
+        " (instance a (and Q (some R (not C)) (some (and R S) D) (atmost 1 R)))",
+        "unsat", ("global on a", "subst: _v1 -> _v0"),
+    ),
+    # the merge carries the trigger A from _v0 onto t
+    "trigger-by-merge": (
+        "(implies A B) (related a t R) (instance a (and (some R A) (atmost 1 R)))"
+        " (instance t (not B))",
+        "unsat", ("subst: _v0 -> t", "global on t"),
+    ),
+    "trigger-by-merge-sat": (
+        "(implies A B) (related a t R) (instance a (and (some R A) (atmost 1 R)))",
+        "sat", ("subst: _v0 -> t", "global on t"),
+    ),
+    # the atleast concept on _v0 is the trigger for both role disjuncts
+    "atleast-trigger": (
+        "(implies (atleast 1 R) (all R C))"
+        " (instance a (some S (and (atleast 2 R) (all R (not C)))))",
+        "unsat", ("global on _v0", "atleast on _v0"),
+    ),
+    "atleast-trigger-sat": (
+        "(implies (atleast 1 R) (all R C)) (instance a (some S (atleast 2 R)))",
+        "sat", ("global on _v0", "atleast on _v0"),
+    ),
+    # _v1 is blocked by _v0, whose FRIEND link it inherits in the model
+    "blocked-with-successors": (
+        "(implies Italian (some FRIEND Italian))"
+        " (implies TOP (or (all FRIEND Italian) (atmost 0 FRIEND)))"
+        " (instance peter (some FRIEND Italian))",
+        "sat", ("global on _v1", "blocked on _v1"),
+    ),
+    # the trigger rests on a's first choice: both branches of the global fail
+    # through it, so the search resumes there and is SAT through C (D)
+    "trigger-by-choice": (
+        "(implies A B) (instance a (or A C)) (instance a (not B))",
+        "sat", ("global on a", "a : (or A C) choice 2/2"),
+    ),
+    "role-trigger-by-choice": (
+        "(implies (some R (not Y)) E) (instance a (or (some R (not Y)) D))"
+        " (instance a (not E))",
+        "sat", ("global on a", "a : (or (some R (not Y)) D) choice 2/2"),
+    ),
+}
+
+
+class TestLazyUnfolding:
+    @pytest.mark.parametrize("name", sorted(LAZY_KBS))
+    def test_hand_kbs_agree_with_the_oracle(self, name):
+        text, expected, (first, then) = LAZY_KBS[name]
+        kb = parse_kb(text)
+        trace = Trace(limit=None)
+        verdict = kb_satisfiable(kb, Guards(debug_checks=True), trace, self_check=True)
+        assert verdict.status == expected
+        found = find_model_bounded(kb, len(kb.individuals()) + 2, 20_000)
+        assert isinstance(found, Interpretation) == (expected == "sat")
+        lines = trace.lines()
+        at = [next(i for i, line in enumerate(lines) if part in line) for part in (first, then)]
+        assert at[0] < at[1]
+
+    def test_a_conjunction_disjunct_unfolds_on_one_of_its_role_names(self):
+        # a has only an R link, so no (and R S) successor, but a merge could
+        # give it one: the global goes on a; b has no link and does not get it
+        kb = parse_kb("(implies TOP (all (and R S) C)) (related a b R) (instance b (not C))")
+        trace = Trace(limit=None)
+        verdict = kb_satisfiable(kb, Guards(debug_checks=True), trace, self_check=True)
+        assert verdict.status == "sat"
+        assert any(line.startswith("step 1: global on a") for line in trace.lines())
+        assert not any("global on b" in line for line in trace.lines())
+
+    def test_the_blocked_variable_has_a_witness_with_successors(self):
+        text = LAZY_KBS["blocked-with-successors"][0]
+        completion = complete(translate_kb(parse_kb(text)), Guards(debug_checks=True)).completion
+        assert completion.witnesses() == {Var(1): Var(0)}
+        assert completion.has_successors(Var(0))
+
+    def test_the_paper_completion_is_still_complete(self, s10):
+        assert is_complete(s10)
+        assert detect_clash(s10) is None
+        interp, _ = extract_model(s10)
+        assert interp.concepts["Italian"] == frozenset({"_v0", "_v1"})
+        assert interp.roles["FRIEND"] == frozenset({
+            ("peter", "susan"), ("susan", "_v0"), ("_v0", "_v1"), ("_v1", "_v1"),
+        })
+
+    def test_tbox_heavy_kbs_agree_with_the_oracle(self):
+        guards = Guards(max_variables=60, max_constraints=4000, max_branches=1500,
+                        debug_checks=True)
+        decided = 0
+        for kb in tbox_heavy_kbs(seed=31, count=200):
+            verdict = kb_satisfiable(kb, guards, self_check=True)
+            decided += verdict.status != "unknown"
+            found = find_model_bounded(kb, len(kb.individuals()) + 1, 1000)
+            if isinstance(found, Interpretation):
+                assert verdict.status == "sat"
+        assert decided == 200
+
+
+def _separation_layout(rng: random.Random) -> ConstraintSystem:
+    """The R-successors of a: individuals, sibling groups of fresh variables,
+    and objects that merges have left in several groups."""
+    a, r = Ind("a"), role("R")
+    system = translate_kb(parse_kb("(instance a A)"))
+    inds = [Ind(n) for n in ("b", "c", "d")[: rng.randint(0, 3)]]
+    system = system.extended([RoleLink(a, "R", b) for b in inds])
+    for _ in range(rng.randint(1, 3)):
+        n, k = system.next_var_index, rng.randint(1, 4)
+        fresh = tuple(Var(n + i) for i in range(k))
+        system = system.extended(
+            [RoleLink(a, "R", v) for v in fresh] + [Siblings(fresh)], next_var_index=n + k
+        )
+    for _ in range(rng.randint(0, 4)):
+        succ = system.role_successors(a, r)
+        pairs = [(y, t) for y in succ for t in succ if isinstance(y, Var)
+                 and object_key(t) < object_key(y) and not system.separated(y, t)]
+        if pairs:
+            system = system.substituted(*rng.choice(pairs))
+    return system
+
+
+class TestSeparatedClique:
+    def test_the_probe_is_peeled_without_the_exhaustive_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("combinations called")
+
+        monkeypatch.setattr(tableau, "combinations", refuse)
+        verdict = kb_satisfiable(clique_probe(20), Guards(debug_checks=True), self_check=True)
+        assert verdict.status == "sat"
+
+    def test_random_layouts_agree_with_brute_force(self):
+        from itertools import combinations
+
+        rng = random.Random(99)
+        several = 0
+        for _ in range(300):
+            system = _separation_layout(rng)
+            succ = system.role_successors(Ind("a"), role("R"))
+            several += any(len(system.groups_of(o)) > 1 for o in succ)
+            objs = rng.sample(succ, rng.randint(0, len(succ)))
+            for size in range(len(objs) + 2):
+                expected = size <= 0 or any(
+                    all(system.separated(x, y) for x, y in combinations(combo, 2))
+                    for combo in combinations(objs, size)
+                )
+                assert tableau._has_separated_clique(system, objs, size) == expected
+        assert several >= 30

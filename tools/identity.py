@@ -1,0 +1,203 @@
+"""Identity harness: run the same inputs through two source trees and report
+where their results differ.
+
+    python tools/identity.py OLD_TREE NEW_TREE [--allow FIELD,...]
+
+Each tree is a checkout of this repository (for example a `git archive` of
+the parent commit).  Every input is decided in each tree by a worker process
+that imports that tree's `src/alcnr`; the inputs themselves come from this
+checkout's `tests/` helpers, so both trees see the same KBs.  Every search
+runs with `debug_checks=True` and a full trace, and each SAT completion gets
+both self-checks.  Per input the worker records these fields:
+
+    status      "sat" | "unsat" | "resource-exceeded", or the exception raised
+    guard       the guard that fired, if any
+    trace       the trace lines (hashed)
+    stats       the SearchStats counters
+    completion  the completion's dump() (hashed)
+    model       its canonical model and assignment (hashed)
+    checks      satisfies_system and is_model on the canonical model
+
+Families:
+
+    candidates  2,000 unscreened `_generators._candidate_kb` draws (seed 1)
+    heavy       2,000 `_tbox_generators.tbox_heavy_kb` draws (seed 1)
+    fixed       EX21, EX33 and the UNA clash with the acceptance queries, the
+                teachers ladder, the `atleast` ladder and the clique probe
+
+For each family the harness prints how many inputs differ in each field and
+the first difference it finds, with the first differing trace line when the
+trace differs.  It exits 1 if any field outside `--allow` differs, else 0.
+Standard library only; it runs for some 15 s on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+FIELDS = ("status", "guard", "trace", "stats", "completion", "model", "checks")
+FAMILIES = ("candidates", "heavy", "fixed")
+COUNT = 2000  # inputs in each random family
+SEED = 1
+GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
+
+
+# -- worker: runs inside one tree -------------------------------------------
+
+def _inputs(family: str) -> list[tuple[str, object]]:
+    """(label, KB) pairs; imported only after the tree's `src` is on the path."""
+    from alcnr import Name, parse_concept, parse_kb
+    from alcnr.services import augment_for_concept_sat, augment_for_instance
+
+    if family == "candidates":
+        from _generators import _candidate_kb
+        rng = random.Random(SEED)
+        return [(f"candidate {i}", _candidate_kb(rng)) for i in range(COUNT)]
+    if family == "heavy":
+        from _tbox_generators import tbox_heavy_kbs
+        return [(f"heavy {i}", kb) for i, kb in enumerate(tbox_heavy_kbs(SEED, COUNT))]
+    from _kbs import EX21_TEXT, EX33_TEXT, UNA_CLASH_TEXT, clique_probe, teachers_kb
+    kb21, kb33 = parse_kb(EX21_TEXT), parse_kb(EX33_TEXT)
+    found = [("EX21", kb21), ("EX33", kb33), ("UNA clash", parse_kb(UNA_CLASH_TEXT))]
+    for a, c in (("john", "Student"), ("john", "Prof"), ("cs156", "Course")):
+        found.append((f"EX21 instance {a} {c}", augment_for_instance(kb21, a, Name(c))))
+    for c in ("(and Prof (atmost 1 DEGREE))", "(some DEGREE BS)", "Student"):
+        found.append((f"EX21 concept-sat {c}",
+                      augment_for_concept_sat(kb21, parse_concept(c))))
+    found.append(("EX33 instance susan (not Italian)",
+                  augment_for_instance(kb33, "susan", parse_concept("(not Italian)"))))
+    for n in (1, 2, 5, 10, 25):
+        found.append((f"teachers {n}", teachers_kb(n)))
+    found.append(("teachers 2 instance t0 Student",
+                  augment_for_instance(teachers_kb(2), "t0", Name("Student"))))
+    for k in (1, 2, 3, 10, 50, 200):
+        found.append((f"atleast {k}", parse_kb(f"(instance a (atleast {k} R))")))
+    for k in (2, 4, 6):
+        found.append((f"clique probe {k}", clique_probe(k)))
+    return found
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha1(text.encode()).hexdigest()[:16]
+
+
+def _decide(kb) -> tuple[dict, list[str]]:
+    from alcnr import (
+        Guards, Trace, complete, extract_model, is_model, render_interpretation,
+        satisfies_system, translate_kb,
+    )
+
+    trace = Trace(limit=None)
+    row = dict.fromkeys(FIELDS)
+    try:
+        result = complete(translate_kb(kb), Guards(debug_checks=True, **GUARDS), trace)
+        row["status"], row["guard"] = result.status, result.guard
+        row["stats"] = dataclasses.asdict(result.stats)
+        if result.is_sat:
+            completion = result.completion
+            interp, assignment = extract_model(completion)
+            row["completion"] = _digest(completion.dump())
+            row["model"] = _digest(render_interpretation(interp) + repr(
+                sorted(assignment.mapping.items(), key=repr)))
+            row["checks"] = [satisfies_system(completion, interp, assignment),
+                             is_model(interp, kb)]
+    except Exception as exc:  # an invariant violation is a result to compare
+        row["status"] = f"{type(exc).__name__}: {exc}"
+    lines = trace.lines()
+    row["trace"] = _digest("\n".join(lines))
+    return row, lines
+
+
+def worker(tree: str, family: str, show: int | None) -> None:
+    sys.path[:0] = [str(Path(tree).resolve() / "src"), str(TESTS)]
+    for i, (label, kb) in enumerate(_inputs(family)):
+        if show is None:
+            row, _ = _decide(kb)
+            print(json.dumps([label, row]), flush=True)
+        elif i == show:
+            print("\n".join(_decide(kb)[1]))
+            return
+
+
+# -- driver ----------------------------------------------------------------
+
+def _run(tree: str, family: str, show: int | None = None):
+    args = [sys.executable, __file__, "--worker", tree, family]
+    if show is not None:
+        args += ["--show", str(show)]
+    return subprocess.Popen(args, stdout=subprocess.PIPE, text=True)
+
+
+def _collect(proc) -> str:
+    out, _ = proc.communicate()
+    if proc.returncode:
+        raise SystemExit(f"worker failed with exit code {proc.returncode}")
+    return out
+
+
+def _first_trace_difference(old: str, new: str, family: str, index: int) -> str:
+    a, b = (_collect(_run(t, family, index)).splitlines() for t in (old, new))
+    for n, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return f"trace line {n + 1}:\n    old: {x}\n    new: {y}"
+    return f"trace lengths {len(a)} and {len(b)}"
+
+
+def compare(old: str, new: str, family: str, allow: set[str]) -> bool:
+    procs = [_run(t, family) for t in (old, new)]
+    rows = [[json.loads(line) for line in _collect(p).splitlines()] for p in procs]
+    if len(rows[0]) != len(rows[1]):
+        raise SystemExit(f"{family}: {len(rows[0])} and {len(rows[1])} inputs")
+    differ = dict.fromkeys(FIELDS, 0)
+    first = None
+    for index, ((label, a), (_, b)) in enumerate(zip(*rows)):
+        fields = [f for f in FIELDS if a[f] != b[f]]
+        for f in fields:
+            differ[f] += 1
+        if first is None and any(f not in allow for f in fields):
+            first = index, label, fields, a, b
+    counts = ", ".join(f"{f} {n}" for f, n in differ.items())
+    print(f"{family}: {len(rows[0])} inputs; differ: {counts}")
+    if first is None:
+        return True
+    index, label, fields, a, b = first
+    print(f"  first difference outside --allow: {label} ({', '.join(fields)})")
+    for f in fields:
+        if f != "trace":
+            print(f"    {f}: {a[f]!r} -> {b[f]!r}")
+    if "trace" in fields:
+        print("  " + _first_trace_difference(old, new, family, index))
+    return False
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old")
+    parser.add_argument("new", nargs="?")
+    parser.add_argument("--allow", default="",
+                        help="comma-separated fields that may differ: " + ",".join(FIELDS))
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--show", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.old, args.new, args.show)
+        return 0
+    if args.new is None:
+        parser.error("two trees are needed")
+    allow = {f for f in args.allow.split(",") if f}
+    if allow - set(FIELDS):
+        parser.error(f"unknown fields: {', '.join(sorted(allow - set(FIELDS)))}")
+    same = [compare(args.old, args.new, family, allow) for family in FAMILIES]
+    return 0 if all(same) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
