@@ -42,38 +42,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("kb", help="KB file in the exchange format, or - for stdin")
-    common.add_argument("--max-vars", type=int, default=1000, metavar="N")
-    common.add_argument("--max-constraints", type=int, default=200_000, metavar="N")
-    common.add_argument("--max-branches", type=int, default=100_000, metavar="N")
-    common.add_argument(
+    # each command takes only the flags it reads, so a misplaced one is an
+    # input error rather than silently ignored
+    kb = argparse.ArgumentParser(add_help=False)
+    kb.add_argument("kb", help="KB file in the exchange format, or - for stdin")
+    guards = argparse.ArgumentParser(add_help=False)
+    guards.add_argument("--max-vars", type=int, default=1000, metavar="N")
+    guards.add_argument("--max-constraints", type=int, default=200_000, metavar="N")
+    guards.add_argument("--max-branches", type=int, default=100_000, metavar="N")
+    decision = argparse.ArgumentParser(add_help=False)
+    decision.add_argument(
         "--oracle-check", type=int, default=None, metavar="K",
         help="cross-verify the verdict by exhaustive model search up to domain size K",
     )
-    common.add_argument("--trace-file", default=None, metavar="PATH")
+    decision.add_argument("--trace-file", default=None, metavar="PATH")
+    engine = [kb, guards, decision]
 
-    sub.add_parser("check-sat", parents=[common], help="is the KB satisfiable?")
-    p = sub.add_parser("concept-sat", parents=[common],
+    sub.add_parser("check-sat", parents=engine, help="is the KB satisfiable?")
+    p = sub.add_parser("concept-sat", parents=engine,
                        help="is CONCEPT satisfiable w.r.t. the KB?")
     p.add_argument("concept")
-    p = sub.add_parser("subsumes", parents=[common],
+    p = sub.add_parser("subsumes", parents=engine,
                        help="is C subsumed by D in every model of the KB?")
     p.add_argument("c")
     p.add_argument("d")
-    p = sub.add_parser("instance", parents=[common],
+    p = sub.add_parser("instance", parents=engine,
                        help="is individual A an instance of CONCEPT in every model?")
     p.add_argument("a")
     p.add_argument("concept")
-    p = sub.add_parser("instances", parents=[common],
+    p = sub.add_parser("instances", parents=[kb, guards],
                        help="all individuals provably in CONCEPT, one per line")
     p.add_argument("concept")
-    sub.add_parser("transform", parents=[common],
+    sub.add_parser("transform", parents=[kb],
                    help="rewrite the TBox into a single concept introduction")
-    sub.add_parser("model", parents=[common],
+    sub.add_parser("model", parents=engine,
                    help="emit the canonical model if the KB is satisfiable")
-    sub.add_parser("trace", parents=[common], help="print the full derivation log")
-    p = sub.add_parser("check-model", parents=[common])
+    sub.add_parser("trace", parents=engine, help="print the full derivation log")
+    p = sub.add_parser("check-model", parents=[kb])
     p.add_argument("model_file")
     return parser
 

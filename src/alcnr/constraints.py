@@ -225,7 +225,7 @@ class ConstraintSystem:
     __slots__ = (
         "next_var_index", "kb", "size",
         "_labels", "_links", "_groups", "_globals", "_objects",
-        "_members_sorted", "_constraints", "_witnesses",
+        "_constraints", "_witnesses",
     )
 
     def __init__(self, constraints: Iterable[Constraint], next_var_index: int,
@@ -238,7 +238,6 @@ class ConstraintSystem:
         self._groups: dict[Object, frozenset] = {}
         self._globals: tuple[Concept, ...] = ()
         self._objects: list[Object] = []
-        self._members_sorted: dict[Object, list[Concept]] = {}
         self._constraints: frozenset[Constraint] | None = None
         self._witnesses: dict[Var, Var] | None = None
         self._add(constraints)
@@ -268,15 +267,11 @@ class ConstraintSystem:
 
         known = len(self._labels)
         labels = dict(self._labels)
-        members_sorted = self._members_sorted = dict(self._members_sorted)
         size = self.size
         for o, cs in concepts.items():
             have = labels.get(o, _EMPTY)
             grown = concepts[o] = have.union(cs)
-            if len(grown) > len(have):
-                size += len(grown) - len(have)
-                if have:
-                    members_sorted.pop(o, None)
+            size += len(grown) - len(have)
         labels.update(concepts)
         if targets or pairs or siblings:
             ends = set(targets)  # objects of links and groups
@@ -364,14 +359,7 @@ class ConstraintSystem:
         return self._labels.get(o, _EMPTY)
 
     def member_concepts_sorted(self, o: Object) -> list[Concept]:
-        # an empty label set is not cached, so `_add` evicts only nonempty ones
-        found = self._members_sorted.get(o)
-        if found is None:
-            labels = self._labels.get(o)
-            if not labels:
-                return []
-            found = self._members_sorted[o] = sorted(labels, key=concept_key)
-        return found
+        return sorted(self._labels.get(o, _EMPTY), key=concept_key)
 
     def has_member(self, o: Object, c: Concept) -> bool:
         return c in self._labels.get(o, _EMPTY)
@@ -435,23 +423,9 @@ class ConstraintSystem:
 
     # -- labels, witnesses, blocking ----------------------------------------
 
-    def labels_equal(self, x: Object, y: Object) -> bool:
-        return self.member_concepts(x) == self.member_concepts(y)
-
     def witness(self, x: Var) -> Var | None:
-        """The least earlier variable carrying exactly the same label set.
-        Read from `witnesses()` once that has run, else found by a scan."""
-        if self._witnesses is not None:
-            return self._witnesses.get(x)
-        labels = self._labels
-        mine = labels.get(x, _EMPTY)
-        for w in self._objects:
-            if isinstance(w, Var):
-                if w.index >= x.index:
-                    return None
-                if labels[w] == mine:
-                    return w
-        return None
+        """The least earlier variable carrying exactly the same label set."""
+        return self.witnesses().get(x)
 
     def witnesses(self) -> dict[Var, Var]:
         """Every blocked variable -> its witness, in variable order, from one
@@ -495,7 +469,6 @@ class ConstraintSystem:
         child._groups = self._groups
         child._globals = self._globals
         child._objects = self._objects
-        child._members_sorted = self._members_sorted
         child._constraints = None
         child._witnesses = None
         child._add(added)

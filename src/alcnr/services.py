@@ -118,24 +118,27 @@ def concept_satisfiable(
     return kb_satisfiable(augment_for_concept_sat(kb, c), guards, trace, self_check)
 
 
+def _true_iff_unsat(kb: KnowledgeBase, guards: Guards | None) -> TruthVerdict:
+    """True iff kb, the KB that a counterexample to a question would
+    satisfy, is unsatisfiable; None when a guard fired."""
+    v = kb_satisfiable(kb, guards)
+    if v.status == "unknown":
+        return TruthVerdict(None, v.guard)
+    return TruthVerdict(v.status == "unsat")
+
+
 def subsumed_by(
     kb: KnowledgeBase, c: Concept, d: Concept, guards: Guards | None = None
 ) -> TruthVerdict:
     """True iff C's extension is within D's in every model of kb."""
-    v = kb_satisfiable(augment_for_subsumption(kb, c, d), guards)
-    if v.status == "unknown":
-        return TruthVerdict(None, v.guard)
-    return TruthVerdict(v.status == "unsat")
+    return _true_iff_unsat(augment_for_subsumption(kb, c, d), guards)
 
 
 def instance_of(
     kb: KnowledgeBase, a: str, c: Concept, guards: Guards | None = None
 ) -> TruthVerdict:
     """True iff the assertion C(a) holds in every model of kb."""
-    v = kb_satisfiable(augment_for_instance(kb, a, c), guards)
-    if v.status == "unknown":
-        return TruthVerdict(None, v.guard)
-    return TruthVerdict(v.status == "unsat")
+    return _true_iff_unsat(augment_for_instance(kb, a, c), guards)
 
 
 def instance_checks(

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from alcnr import parse_interpretation, parse_kb
 
 from conftest import EX21_TEXT, EX33_TEXT, UNA_CLASH_TEXT, cli
@@ -125,6 +127,34 @@ class TestErrorsAndGuards:
     def test_usage_error(self):
         code, _, _ = cli("no-such-command", "x")
         assert code == 3
+
+    ENGINE_FLAGS = (
+        ("--max-vars", "5"), ("--max-constraints", "5"), ("--max-branches", "5"),
+        ("--oracle-check", "3"), ("--trace-file", "t.txt"),
+    )
+
+    @pytest.mark.parametrize("command, flag", [
+        *((("instances", "Student"), f) for f in ENGINE_FLAGS[3:]),
+        *((("transform",), f) for f in ENGINE_FLAGS),
+        *((("check-model", "model.txt"), f) for f in ENGINE_FLAGS),
+    ])
+    def test_a_flag_the_command_does_not_read_is_rejected(
+        self, kb_file, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        name, *rest = command
+        code, out, _ = cli(name, kb_file(EX21_TEXT), *rest, *flag)
+        assert (code, out) == (3, "")
+        # argparse writes its usage error to the process's stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_instances_reads_the_guard_flags(self, kb_file):
+        code, out, err = cli(
+            "instances", kb_file(EX21_TEXT), "Student", "--max-branches", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "inconclusive for: cs156 john\n"
 
     def test_guard_exhaustion_reports_unknown(self, kb_file):
         code, out, err = cli(

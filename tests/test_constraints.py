@@ -68,7 +68,7 @@ class TestLabelsAndSuccessors:
 
     def test_final_variables_share_a_label_set(self, s10):
         assert s10.member_concepts(Var(1)) == s10.member_concepts(Var(0))
-        assert s10.labels_equal(Var(0), Var(1))
+        assert s10.member_concepts_sorted(Var(1)) == s10.member_concepts_sorted(Var(0))
 
     def test_r_successor_requires_every_conjunct(self, s_sigma):
         assert s_sigma.role_successors(Ind("peter"), role("FRIEND")) == [Ind("susan")]
@@ -151,6 +151,29 @@ class TestSubstitution:
             system.substituted(Ind("a"), Ind("b"))
 
 
+def scanned_witness(system: ConstraintSystem, x: Var) -> Var | None:
+    """The reference for `witness`: the first variable before x, in
+    variable order, whose label set equals x's."""
+    mine = system.member_concepts(x)
+    for w in system.variables():
+        if w.index >= x.index:
+            return None
+        if system.member_concepts(w) == mine:
+            return w
+    return None
+
+
+def assert_witnesses_match_the_scan(system: ConstraintSystem) -> int:
+    """Check `witnesses()` and `witness` on every variable against the
+    scan; returns the number of blocked variables."""
+    scanned = [(v, scanned_witness(system, v)) for v in system.variables()]
+    found = system.witnesses()
+    # in variable order, as the trace's "blocked on" lines need
+    assert list(found.items()) == [(v, w) for v, w in scanned if w is not None]
+    assert [(v, system.witness(v)) for v in system.variables()] == scanned
+    return len(found)
+
+
 class TestWitness:
     def test_later_equivalent_variable_is_blocked(self, s10):
         assert s10.witness(Var(1)) == Var(0)
@@ -183,20 +206,22 @@ class TestWitness:
         )
         assert system.witnesses() == {Var(2): Var(0)}
         assert s10.witnesses() == {Var(1): Var(0)}
+        assert assert_witnesses_match_the_scan(system) == 1
         blocked = 0
         for kb in random_kbs(seed=5555, count=200):
             result = complete(translate_kb(kb))
             if result.status != "sat":
                 continue
             system = result.completion.extended([])  # no witness map yet
-            scanned = [(v, system.witness(v)) for v in system.variables()]
-            found = system.witnesses()
-            # in variable order, as the trace's "blocked on" lines need
-            assert list(found.items()) == [(v, w) for v, w in scanned if w is not None]
-            assert [(v, system.witness(v)) for v in system.variables()] == scanned
-            assert result.completion.witnesses() == found
-            blocked += len(found)
+            blocked += assert_witnesses_match_the_scan(system)
+            assert result.completion.witnesses() == system.witnesses()
         assert blocked >= 20
+        derived = [
+            system for _, system, _, _ in TestIncrementalDerivation._derivations(
+                random_kbs(seed=13, count=30)
+                + [parse_kb(t) for t in TestIncrementalDerivation.MERGING_KBS], 6)
+        ]
+        assert sum(map(assert_witnesses_match_the_scan, derived)) > 0
 
 
 class TestMetrics:
@@ -262,7 +287,8 @@ class TestIncrementalDerivation:
         kbs = random_kbs(seed=13, count=30) + [parse_kb(t) for t in self.MERGING_KBS]
         for kb, parent, inst, choice in self._derivations(kbs, 6):
             if parent.variables():
-                # fill the parent's sorted-label cache before deriving from it
+                # read the parent's blocking and sorted labels (the witness
+                # map is cached) before deriving from it
                 parent.witness(parent.variables()[-1])
                 for o in parent.objects():
                     parent.member_concepts_sorted(o)

@@ -610,6 +610,21 @@ class TestSiblingGroups:
         # 179,700 stored `Distinct` pairs would take tens of megabytes
         assert peak < 2_000_000
 
+    def test_open_choice_points_keep_only_the_label_index(self):
+        import tracemalloc
+
+        kb = teachers_kb(200)
+        tracemalloc.start()
+        try:
+            verdict = kb_satisfiable(kb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == "sat"
+        # each of the 400 open choice points keeps its system's `_labels`
+        # copy; a second per-object dict beside it peaks at about 16 MB
+        assert peak < 13_000_000
+
     def test_the_atleast_trace_lists_every_sibling_pair(self):
         result = complete(
             translate_kb(parse_kb("(instance a (atleast 3 R))")), trace=Trace(limit=None)
