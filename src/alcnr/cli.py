@@ -17,10 +17,12 @@ from .semantics import (
     parse_interpretation, render_interpretation,
 )
 from .services import (
-    Verdict, augment_for_concept_sat, augment_for_instance,
-    augment_for_subsumption, instance_checks, kb_satisfiable,
+    Verdict, _instance_counterexample, augment_for_concept_sat, augment_for_instance,
+    augment_for_subsumption, concept_satisfiable, instance_checks, kb_satisfiable,
 )
-from .syntax import KnowledgeBase, ParseError, parse_concept, parse_kb, render_kb
+from .syntax import (
+    And, KnowledgeBase, Not, ParseError, parse_concept, parse_kb, render_kb,
+)
 from .tableau import Guards, Trace
 
 ORACLE_BUDGET = 200_000
@@ -32,11 +34,28 @@ GUARD_WARNING = (
 )
 
 
+class _ParserExit(Exception):
+    """(exit code, text): a usage error (3) or the --help text (0), for
+    `run` to write to its caller's streams."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that raises _ParserExit instead of writing to
+    sys.stdout or sys.stderr and exiting; its subparsers are of this class
+    too."""
+
+    def print_help(self, file=None) -> None:
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message: str):
+        raise _ParserExit(3, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: each `parse_args` call returns a
     fresh namespace, so nothing carries over between runs."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="alcnr",
         description="Decision procedures for ALCNR knowledge bases.",
     )
@@ -123,28 +142,9 @@ def _cross_check(kb: KnowledgeBase, verdict: Verdict, bound: int, stderr) -> boo
     return True
 
 
-def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
-    """Run the engine on kb; returns (verdict, oracle_ok)."""
-    trace = Trace(limit=None) if args.trace_file or args.command == "trace" else None
-    verdict = kb_satisfiable(kb, _guards(args), trace)
-    if verdict.status == "unknown":
-        print(GUARD_WARNING.format(guard=verdict.guard), file=stderr)
-    if args.trace_file:
-        with open(args.trace_file, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(verdict.trace.lines()) + "\n")
-    ok = True
-    if args.oracle_check is not None:
-        ok = _cross_check(kb, verdict, args.oracle_check, stderr)
-    return verdict, ok
-
-
-# status -> (answer text, exit code), for satisfiability and truth questions
-_SAT_ANSWERS = {"sat": ("SAT", 0), "unsat": ("UNSAT", 1), "unknown": ("UNKNOWN", 2)}
-_TRUTH_ANSWERS = {"sat": ("false", 1), "unsat": ("true", 0), "unknown": ("UNKNOWN", 2)}
-
-
 def _goal(kb: KnowledgeBase, args) -> KnowledgeBase:
-    """The KB whose satisfiability answers the command's question."""
+    """The KB whose satisfiability answers the command's question, built for
+    the oracle's cross-check."""
     if args.command == "concept-sat":
         return augment_for_concept_sat(kb, parse_concept(args.concept))
     if args.command == "subsumes":
@@ -152,6 +152,41 @@ def _goal(kb: KnowledgeBase, args) -> KnowledgeBase:
     if args.command == "instance":
         return augment_for_instance(kb, args.a, parse_concept(args.concept))
     return kb
+
+
+def _ask(kb: KnowledgeBase, args, trace: Trace | None) -> Verdict:
+    """The verdict on the KB whose satisfiability answers the command's
+    question, decided through kb's session."""
+    guards = _guards(args)
+    if args.command == "concept-sat":
+        return concept_satisfiable(kb, parse_concept(args.concept), guards, trace)
+    if args.command == "subsumes":
+        c_and_not_d = And(parse_concept(args.c), Not(parse_concept(args.d)))
+        return concept_satisfiable(kb, c_and_not_d, guards, trace)
+    if args.command == "instance":
+        return _instance_counterexample(
+            kb, args.a, parse_concept(args.concept), guards, trace)
+    return kb_satisfiable(kb, guards, trace)
+
+
+def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
+    """Run the engine on the command's question; returns (verdict, oracle_ok)."""
+    trace = Trace(limit=None) if args.trace_file or args.command == "trace" else None
+    verdict = _ask(kb, args, trace)
+    if verdict.status == "unknown":
+        print(GUARD_WARNING.format(guard=verdict.guard), file=stderr)
+    if args.trace_file:
+        with open(args.trace_file, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(verdict.trace.lines()) + "\n")
+    ok = True
+    if args.oracle_check is not None:
+        ok = _cross_check(_goal(kb, args), verdict, args.oracle_check, stderr)
+    return verdict, ok
+
+
+# status -> (answer text, exit code), for satisfiability and truth questions
+_SAT_ANSWERS = {"sat": ("SAT", 0), "unsat": ("UNSAT", 1), "unknown": ("UNKNOWN", 2)}
+_TRUTH_ANSWERS = {"sat": ("false", 1), "unsat": ("true", 0), "unknown": ("UNKNOWN", 2)}
 
 
 def _report(args, verdict: Verdict, oracle_ok: bool, stdout, stderr) -> int:
@@ -181,8 +216,10 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return 0 if stop.code in (0, None) else 3
+    except _ParserExit as stop:
+        code, text = stop.args
+        (stdout if code == 0 else stderr).write(text)
+        return code
 
     try:
         kb = parse_kb(_read_text(args.kb, stdin))
@@ -207,7 +244,7 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
             print("ok" if good else "invalid", file=stdout)
             return 0 if good else 1
 
-        verdict, ok = _decide(_goal(kb, args), args, stderr)
+        verdict, ok = _decide(kb, args, stderr)
         return _report(args, verdict, ok, stdout, stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)

@@ -334,6 +334,10 @@ Assertion = ConceptAssertion | RoleAssertion
 class KnowledgeBase:
     tbox: frozenset[Inclusion]
     abox: frozenset[Assertion]
+    # the reasoning services' translation and decision of this KB, set once
+    # by alcnr.services on first use; not part of the KB's value
+    _session: object = field(default=None, init=False, compare=False, hash=False,
+                             repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tbox", frozenset(self.tbox))

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -6,12 +7,15 @@ from alcnr import (
     And, AtMost, BOTTOM, ConceptAssertion, Guards, InconclusiveError,
     KnowledgeBase, Name, Not, Some, TOP, TruthVerdict, UnknownIndividualError,
     concept_satisfiable, instance_checks, instance_of, instances, is_model,
-    kb_satisfiable, parse_kb, role, subsumed_by,
+    kb_satisfiable, parse_kb, role, subsumed_by, translate_kb,
 )
 from alcnr import services
-from alcnr.services import augment_for_concept_sat, augment_for_instance
-from _generators import random_concept, random_kbs
-from conftest import EX21_TEXT, teachers_kb
+from alcnr.services import (
+    augment_for_concept_sat, augment_for_instance, augment_for_subsumption,
+)
+from _generators import _candidate_kb, random_concept, random_kbs
+from _tbox_generators import tbox_heavy_kbs
+from conftest import EX21_TEXT, EX33_TEXT, teachers_kb
 
 GUARDS = Guards(debug_checks=True)
 
@@ -219,3 +223,164 @@ class TestModelPrunedRetrieval:
         assert instance_checks(kb, Name("A")) == {}
         assert instances(kb, Name("A")) == frozenset()
         assert runs == []
+
+
+class TestSession:
+    """Each KB object keeps one session: its constraint system, translated
+    once and extended by one membership per query, and its decision once a
+    call has made one."""
+
+    class _Searched(Exception):
+        pass
+
+    @classmethod
+    def _systems(cls, monkeypatch) -> list:
+        """Record the system each service call would search, and stop it."""
+        systems = []
+
+        def complete(system, guards=None, trace=None):
+            systems.append(system)
+            raise cls._Searched
+
+        monkeypatch.setattr(services, "complete", complete)
+        return systems
+
+    @staticmethod
+    def _kbs() -> list:
+        rng = random.Random(67)
+        return [
+            *(_candidate_kb(rng) for _ in range(300)), *tbox_heavy_kbs(67, 200),
+            parse_kb(EX21_TEXT), parse_kb(EX33_TEXT), parse_kb("(implies A (some R B))"),
+            KnowledgeBase(frozenset(), frozenset()),
+        ]
+
+    def test_each_query_system_is_the_translation_of_its_kb(self, monkeypatch):
+        systems = self._systems(monkeypatch)
+        rng = random.Random(68)
+        for kb in self._kbs():
+            c, d = random_concept(rng, 2), random_concept(rng, 2)
+            # the decision comes last, so that no stored one answers a question
+            calls = [
+                (lambda: concept_satisfiable(kb, c), augment_for_concept_sat(kb, c)),
+                (lambda: subsumed_by(kb, c, d), augment_for_subsumption(kb, c, d)),
+                *((lambda a=a: instance_of(kb, a, c), augment_for_instance(kb, a, c))
+                  for a in sorted(kb.individuals())),
+                (lambda: kb_satisfiable(kb), kb),
+            ]
+            for call, augmented in calls:
+                with pytest.raises(self._Searched):
+                    call()
+                got, want = systems.pop(), translate_kb(augmented)
+                assert got.kb == augmented
+                assert got.dump() == want.dump()
+                assert got.objects() == want.objects()
+                assert (got.size, got.next_var_index) == (want.size, want.next_var_index)
+
+    def test_a_kb_is_translated_once(self, monkeypatch):
+        translations = []
+
+        def translate(kb):
+            translations.append(kb)
+            return translate_kb(kb)
+
+        monkeypatch.setattr(services, "translate_kb", translate)
+        kb = teachers_kb(10)
+        checks = instance_checks(kb, Name("Course"))
+        assert [a for a, truth in checks.items() if truth.value] == \
+            sorted(f"c{i}" for i in range(10))
+        assert len(translations) == 1
+        assert instance_of(kb, "t0", Name("Student")).value is True
+        assert instance_of(kb, "c0", Name("Prof")).value is False
+        assert subsumed_by(kb, Name("Prof"), Some(role("DEGREE"), Name("BS"))).value is True
+        assert concept_satisfiable(kb, Name("Prof")).status == "sat"
+        assert kb_satisfiable(kb).status == "sat"
+        assert len(translations) == 1
+
+    def test_the_reserved_name_and_unknown_individuals_are_checked_first(self):
+        kb = parse_kb("(instance a BOTTOM)")
+        assert instance_of(kb, "a", Name("A")).value is True  # a stored UNSAT
+        with pytest.raises(UnknownIndividualError, match="'b'"):
+            instance_of(kb, "b", Name("A"))
+        bad = KnowledgeBase(kb.tbox, kb.abox | {ConceptAssertion("__fresh", TOP)})
+        assert kb_satisfiable(bad).status == "unsat"
+        for ask in (lambda: subsumed_by(bad, TOP, TOP), lambda: concept_satisfiable(bad, TOP)):
+            with pytest.raises(ValueError, match="reserved"):
+                ask()
+
+    def test_a_stored_decision_answers_as_a_search_would(self, monkeypatch):
+        runs = TestModelPrunedRetrieval._counting(monkeypatch)
+        rng = random.Random(69)
+        statuses = []
+        answers = {"stored": [], "searched": []}
+        searches = dict.fromkeys(answers, 0)
+
+        def ask(kind, question):
+            before = len(runs)
+            answers[kind].append(question())
+            searches[kind] += len(runs) - before
+
+        for kb in random_kbs(seed=69, count=500):
+            statuses.append(kb_satisfiable(kb, self_check=True).status)
+            fresh = KnowledgeBase(kb.tbox, kb.abox)
+            for c, d in ((Name("A"), Name("B")), (random_concept(rng, 2), random_concept(rng, 2))):
+                for kind, on in (("stored", kb), ("searched", fresh)):
+                    ask(kind, lambda: subsumed_by(on, c, d))
+                    for a in sorted(kb.individuals()):
+                        ask(kind, lambda: instance_of(on, a, c))
+        assert "unknown" not in statuses and statuses.count("unsat") >= 10
+        for stored, searched in zip(answers["stored"], answers["searched"]):
+            assert searched.value is None or stored == searched
+        questions = len(answers["searched"])
+        assert searches["searched"] == questions
+        # the stored decision settles more than half of the questions
+        assert searches["stored"] < questions / 2
+
+    def test_threads_sharing_a_kb_get_the_serial_answers(self):
+        import sys
+        import threading
+
+        questions = [
+            lambda kb: kb_satisfiable(kb, self_check=True).status,
+            lambda kb: instance_of(kb, "t0", Name("Student")),
+            lambda kb: instance_of(kb, "c1", Name("Prof")),
+            lambda kb: subsumed_by(kb, Name("Prof"), Name("Student")),
+            lambda kb: concept_satisfiable(kb, Name("Prof")).status,
+            lambda kb: instances(kb, Name("Course")),
+        ]
+        serial = [ask(teachers_kb(4)) for ask in questions]
+        shared = teachers_kb(4)
+        answers = [[None] * len(questions) for _ in range(8)]
+
+        def worker(i):  # each thread asks in its own rotated order
+            for k in range(len(questions)):
+                j = (i + k) % len(questions)
+                answers[i][j] = questions[j](shared)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert answers == [serial] * 8
+
+    def test_sessions_make_no_reference_cycles(self):
+        kbs = random_kbs(seed=70, count=200)
+        gc.collect()
+        gc.disable()
+        try:
+            for kb in kbs:
+                kb = KnowledgeBase(kb.tbox, kb.abox)
+                kb_satisfiable(kb, self_check=True)
+                concept_satisfiable(kb, Name("A"))
+                subsumed_by(kb, Name("A"), Name("B"))
+                instance_checks(kb, Name("A"))
+            del kb
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -610,6 +610,26 @@ class TestSiblingGroups:
         # 179,700 stored `Distinct` pairs would take tens of megabytes
         assert peak < 2_000_000
 
+    def test_atleast_1000_under_max_variables_1000(self):
+        # `size` counts the 499,500 sibling pairs, though none is stored, so
+        # the constraint guard stops the application that the variable guard
+        # would let through
+        def decide(guards, trace=None):
+            kb = parse_kb("(instance a (atleast 1000 R))")
+            return kb_satisfiable(kb, guards, trace, self_check=True)
+
+        trace = Trace(limit=None)
+        verdict = decide(Guards(max_variables=1000), trace)
+        assert (verdict.status, verdict.guard) == ("unknown", "max-constraints")
+        assert trace.lines() == ["step 1: guard: max-constraints"]
+        assert verdict.stats.branches == 0
+        verdict = decide(Guards(max_variables=1000, max_constraints=600_000))
+        assert verdict.status == "sat"
+        assert len(verdict.interpretation.domain) == 1001
+        for constraints in (200_000, 600_000):
+            verdict = decide(Guards(max_variables=999, max_constraints=constraints))
+            assert (verdict.status, verdict.guard) == ("unknown", "max-variables")
+
     def test_open_choice_points_keep_only_the_label_index(self):
         import tracemalloc
 

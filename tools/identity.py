@@ -24,11 +24,26 @@ Families:
     heavy       2,000 `_tbox_generators.tbox_heavy_kb` draws (seed 1)
     fixed       EX21, EX33 and the UNA clash with the acceptance queries, the
                 teachers ladder, the `atleast` ladder and the clique probe
+    services    the candidates and the fixed KBs again, asked through
+                `alcnr.services` on one KB object, in this order:
+                `kb_satisfiable` (self-check, full trace),
+                `concept_satisfiable` of C (full trace), `subsumed_by` C D,
+                `instance_of` C for each individual, `instances` of D, where
+                C and D are the first two of the KB's concept names and A, B
+
+In the services family each field lists one entry per call, in call order:
+`status` holds each answer (a verdict's status, a truth value, the sorted
+members, or the exception raised), `guard` each guard, `stats` each
+verdict's counters, `model` each verdict's model (hashed together), `checks`
+is_model on each model, and `trace` both traces; `completion` is not
+recorded, since a verdict carries no completion.  A service that reuses a
+KB's translation or decision shows here, where the other families, which
+call `complete(translate_kb(kb))`, cannot see it.
 
 For each family the harness prints how many inputs differ in each field and
 the first difference it finds, with the first differing trace line when the
 trace differs.  It exits 1 if any field outside `--allow` differs, else 0.
-Standard library only; it runs for some 15 s on two cores.
+Standard library only; it runs for some 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -44,7 +59,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 FIELDS = ("status", "guard", "trace", "stats", "completion", "model", "checks")
-FAMILIES = ("candidates", "heavy", "fixed")
+FAMILIES = ("candidates", "heavy", "fixed", "services")
 COUNT = 2000  # inputs in each random family
 SEED = 1
 GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
@@ -64,6 +79,8 @@ def _inputs(family: str) -> list[tuple[str, object]]:
     if family == "heavy":
         from _tbox_generators import tbox_heavy_kbs
         return [(f"heavy {i}", kb) for i, kb in enumerate(tbox_heavy_kbs(SEED, COUNT))]
+    if family == "services":
+        return _inputs("candidates") + _inputs("fixed")
     from _kbs import EX21_TEXT, EX33_TEXT, UNA_CLASH_TEXT, clique_probe, teachers_kb
     kb21, kb33 = parse_kb(EX21_TEXT), parse_kb(EX33_TEXT)
     found = [("EX21", kb21), ("EX33", kb33), ("UNA clash", parse_kb(UNA_CLASH_TEXT))]
@@ -116,14 +133,60 @@ def _decide(kb) -> tuple[dict, list[str]]:
     return row, lines
 
 
+def _ask(kb) -> tuple[dict, list[str]]:
+    """The services family's row: each service called on the one KB object."""
+    from alcnr import (
+        Guards, Name, Trace, TruthVerdict, concept_satisfiable, instance_of,
+        instances, is_model, kb_satisfiable, render_interpretation, subsumed_by,
+    )
+
+    guards = Guards(debug_checks=True, **GUARDS)
+    c, d = (Name(n) for n in [*sorted(kb.concept_names()), "A", "B"][:2])
+    traces = Trace(limit=None), Trace(limit=None)
+    calls = [
+        lambda: kb_satisfiable(kb, guards, traces[0], self_check=True),
+        lambda: concept_satisfiable(kb, c, guards, traces[1]),
+        lambda: subsumed_by(kb, c, d, guards),
+        *(lambda a=a: instance_of(kb, a, c, guards) for a in sorted(kb.individuals())),
+        lambda: instances(kb, d, guards),
+    ]
+    row = {f: [] for f in FIELDS}
+    models = []
+    for call in calls:
+        try:
+            answer = call()
+        except Exception as exc:  # an invariant violation is a result to compare
+            row["status"].append(f"{type(exc).__name__}: {exc}")
+            continue
+        if isinstance(answer, frozenset):
+            row["status"].append(sorted(answer))
+        elif isinstance(answer, TruthVerdict):
+            row["status"].append(answer.value)
+            row["guard"].append(answer.guard)
+        else:
+            row["status"].append(answer.status)
+            row["guard"].append(answer.guard)
+            row["stats"].append(dataclasses.asdict(answer.stats))
+            if answer.is_sat:
+                models.append(render_interpretation(answer.interpretation) + repr(
+                    sorted(answer.assignment.mapping.items(), key=repr)))
+                row["checks"].append(is_model(answer.interpretation, kb))
+    row["model"] = _digest("\n".join(models))
+    lines = [*traces[0].lines(), "--", *traces[1].lines()]
+    row["trace"] = _digest("\n".join(lines))
+    row["completion"] = None
+    return row, lines
+
+
 def worker(tree: str, family: str, show: int | None) -> None:
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(TESTS)]
+    decide = _ask if family == "services" else _decide
     for i, (label, kb) in enumerate(_inputs(family)):
         if show is None:
-            row, _ = _decide(kb)
+            row, _ = decide(kb)
             print(json.dumps([label, row]), flush=True)
         elif i == show:
-            print("\n".join(_decide(kb)[1]))
+            print("\n".join(decide(kb)[1]))
             return
 
 
