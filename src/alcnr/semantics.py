@@ -14,7 +14,9 @@ size <= k, nothing larger.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .syntax import (
     All, And, AtLeast, AtMost, Bottom, Concept, ConceptAssertion, KnowledgeBase,
@@ -22,42 +24,49 @@ from .syntax import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interpretation:
     """A finite interpretation: domain, name extensions, individual mapping.
 
     Names absent from the extension maps evaluate to the empty set / empty
     relation, so evaluation is total.  The individual map must be injective
-    (unique name assumption) and the domain nonempty.
+    (unique name assumption) and the domain nonempty.  An interpretation is
+    immutable: its maps are read-only views of copies made at construction,
+    so one can be shared, as the services share a KB's verified model.
     """
 
     domain: frozenset[str]
-    concepts: dict[str, frozenset[str]]
-    roles: dict[str, frozenset[tuple[str, str]]]
-    individuals: dict[str, str] = field(default_factory=dict)
+    concepts: Mapping[str, frozenset[str]]
+    roles: Mapping[str, frozenset[tuple[str, str]]]
+    individuals: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.domain = frozenset(self.domain)
-        self.concepts = {a: frozenset(ext) for a, ext in self.concepts.items()}
-        self.roles = {p: frozenset(ext) for p, ext in self.roles.items()}
-        if not self.domain:
+        domain = frozenset(self.domain)
+        concepts = {a: frozenset(ext) for a, ext in self.concepts.items()}
+        roles = {p: frozenset(ext) for p, ext in self.roles.items()}
+        individuals = dict(self.individuals)
+        if not domain:
             raise ValueError("the domain of an interpretation must be nonempty")
-        for a, ext in self.concepts.items():
-            if not ext <= self.domain:
+        for a, ext in concepts.items():
+            if not ext <= domain:
                 raise ValueError(f"extension of {a} leaves the domain")
-        for p, ext in self.roles.items():
+        for p, ext in roles.items():
             for s, t in ext:
-                if s not in self.domain or t not in self.domain:
+                if s not in domain or t not in domain:
                     raise ValueError(f"extension of {p} leaves the domain")
         seen: dict[str, str] = {}
-        for ind, elem in self.individuals.items():
-            if elem not in self.domain:
+        for ind, elem in individuals.items():
+            if elem not in domain:
                 raise ValueError(f"individual {ind} mapped outside the domain")
             if elem in seen:
                 raise ValueError(
                     f"individuals {seen[elem]} and {ind} share element {elem}"
                 )
             seen[elem] = ind
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "concepts", MappingProxyType(concepts))
+        object.__setattr__(self, "roles", MappingProxyType(roles))
+        object.__setattr__(self, "individuals", MappingProxyType(individuals))
 
 
 @dataclass

@@ -27,7 +27,9 @@ within one knowledge base.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +396,6 @@ class ParseError(Exception):
         self.column = column
 
 
-_NAME_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-'"
-)
-
 RESERVED_WORDS = frozenset({
     "and", "or", "not", "all", "some", "atleast", "atmost",
     "implies", "define-concept", "define-primitive", "instance", "related",
@@ -408,225 +406,222 @@ RESERVED_WORDS = frozenset({
 # may not mention it.
 FRESH_INDIVIDUAL = "__fresh"
 
+# A token is "(", ")" or a run of name characters; " \t\r\n" separate tokens
+# and ";" starts a comment that runs to the end of the line.  _TOKENS finds
+# each token as its group and each comment with an empty group.  _UNEXPECTED
+# swallows each comment whole, so its group is set only by a character
+# outside a comment that is none of these.
+_TOKENS = re.compile(r";[^\n]*|([()]|[A-Za-z0-9_'-]+)")
+_UNEXPECTED = re.compile(r";[^\n]*|([^A-Za-z0-9_'() \t\r\n;-])")
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str  # "(", ")", "sym"
-    text: str
-    line: int
-    column: int
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "(" or ch == ")":
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch in _NAME_CHARS:
-            start, start_col = i, col
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-                col += 1
-            toks.append(_Tok("sym", text[start:i], line, start_col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of text[offset]; each character, a tab
+    or a carriage return too, is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Reader:
-    """Turns a token stream into nested lists of _Tok, tracking positions."""
+    """Reads one text.  Its tokens are strings, and a form is a token's
+    index or, for a parenthesised form, the list of its '(' index followed
+    by its items' forms.  A line and column is computed only for a
+    ParseError.  Every character is checked first; then each top-level form
+    is read whole before it is interpreted.  Each concept name and role name
+    is built once, and `namespace` holds each name's kind and first token."""
 
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def read_form(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        if tok.kind == "sym":
-            return tok
-        if tok.kind == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.column)
-        items = []
-        while True:
-            if self.at_end():
-                raise ParseError("unclosed '('", tok.line, tok.column)
-            if self.toks[self.pos].kind == ")":
-                self.pos += 1
-                return _List(items, tok.line, tok.column)
-            items.append(self.read_form())
-
-
-@dataclass(slots=True)
-class _List:
-    items: list
-    line: int
-    column: int
-
-
-class _KBBuilder:
-    """Interprets reader forms as statements, tracking the three namespaces."""
-
-    def __init__(self, number_cap: int):
+    def __init__(self, text: str, number_cap: int):
+        bad = next((m for m in _UNEXPECTED.finditer(text) if m[1]), None)
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad[1]!r}", *_position(text, bad.start(1)))
+        self.toks = list(filter(None, _TOKENS.findall(text)))
+        self.text = text
+        self.rest = enumerate(self.toks)
         self.number_cap = number_cap
-        self.namespace: dict[str, tuple[str, int, int]] = {}
+        self.namespace: dict[str, tuple[str, int]] = {}
+        self.concepts: dict[str, Concept] = {"TOP": TOP, "BOTTOM": BOTTOM}
+        self.roles: dict[str, Role] = {}
         self.tbox: set[Inclusion] = set()
         self.abox: set[Assertion] = set()
 
-    def _claim(self, name: str, kind: str, line: int, column: int) -> str:
-        if name in RESERVED_WORDS:
-            raise ParseError(f"reserved word {name!r} cannot be used as a name", line, column)
-        if name == FRESH_INDIVIDUAL:
-            raise ParseError(f"{name!r} is reserved for internal use", line, column)
-        seen = self.namespace.get(name)
-        if seen is None:
-            self.namespace[name] = (kind, line, column)
-        elif seen[0] != kind:
-            raise ParseError(
-                f"{name!r} already used as a {seen[0]} name at {seen[1]}:{seen[2]}",
-                line, column,
-            )
-        return name
+    def position(self, i: int) -> tuple[int, int]:
+        starts = (m.start() for m in _TOKENS.finditer(self.text) if m[1])
+        return _position(self.text, next(islice(starts, i, None)))
 
-    def _sym(self, form, what: str) -> _Tok:
-        if not isinstance(form, _Tok):
-            raise ParseError(f"expected {what}", form.line, form.column)
+    def error(self, message: str, form) -> ParseError:
+        return ParseError(message, *self.position(form if type(form) is int else form[0]))
+
+    def form(self):
+        """The next top-level form, read whole; None after the last one."""
+        first = next(self.rest, None)
+        if first is None:
+            return None
+        i, tok = first
+        if tok == ")":
+            raise self.error("unexpected ')'", i)
+        if tok != "(":
+            return i
+        stack, items = [], [i]
+        for j, tok in self.rest:
+            if tok == "(":
+                stack.append(items)
+                items = [j]
+            elif tok != ")":
+                items.append(j)
+            elif stack:
+                stack[-1].append(items)
+                items = stack.pop()
+            else:
+                return items
+        raise self.error("unclosed '('", items[0])
+
+    def _claim(self, name: str, kind: str, i: int) -> None:
+        if name in RESERVED_WORDS:
+            raise self.error(f"reserved word {name!r} cannot be used as a name", i)
+        if name == FRESH_INDIVIDUAL:
+            raise self.error(f"{name!r} is reserved for internal use", i)
+        seen = self.namespace.setdefault(name, (kind, i))
+        if seen[0] != kind:
+            line, column = self.position(seen[1])
+            raise self.error(f"{name!r} already used as a {seen[0]} name at {line}:{column}", i)
+
+    def _sym(self, form, what: str) -> int:
+        if type(form) is not int:
+            raise self.error(f"expected {what}", form)
         return form
 
+    def name(self, i: int) -> Concept:
+        """TOP, BOTTOM or the concept name that token i spells."""
+        tok = self.toks[i]
+        c = self.concepts.get(tok)
+        if c is None:
+            self._claim(tok, "concept", i)
+            c = self.concepts[tok] = Name(tok)
+        return c
+
+    def role_name(self, i: int) -> Role:
+        tok = self.toks[i]
+        r = self.roles.get(tok)
+        if r is None:
+            self._claim(tok, "role", i)
+            r = self.roles[tok] = Role((tok,))
+        return r
+
     def concept(self, form) -> Concept:
-        if isinstance(form, _Tok):
-            if form.text == "TOP":
-                return TOP
-            if form.text == "BOTTOM":
-                return BOTTOM
-            return Name(self._claim(form.text, "concept", form.line, form.column))
-        if not form.items:
-            raise ParseError("empty concept form", form.line, form.column)
-        head = self._sym(form.items[0], "a concept constructor")
-        args = form.items[1:]
-        if head.text in ("and", "or"):
+        if type(form) is int:
+            return self.name(form)
+        if len(form) == 1:
+            raise self.error("empty concept form", form)
+        head = self._sym(form[1], "a concept constructor")
+        word = self.toks[head]
+        args = form[2:]
+        if word in ("and", "or"):
             if len(args) < 2:
-                raise ParseError(f"({head.text} ...) needs at least two concepts", head.line, head.column)
-            ctor = And if head.text == "and" else Or
+                raise self.error(f"({word} ...) needs at least two concepts", head)
+            ctor = And if word == "and" else Or
             acc = self.concept(args[0])
             for arg in args[1:]:
                 acc = ctor(acc, self.concept(arg))
             return acc
-        if head.text == "not":
+        if word == "not":
             if len(args) != 1:
-                raise ParseError("(not ...) takes exactly one concept", head.line, head.column)
+                raise self.error("(not ...) takes exactly one concept", head)
             return Not(self.concept(args[0]))
-        if head.text in ("all", "some"):
+        if word in ("all", "some"):
             if len(args) != 2:
-                raise ParseError(f"({head.text} R C) takes a role and a concept", head.line, head.column)
-            ctor = All if head.text == "all" else Some
+                raise self.error(f"({word} R C) takes a role and a concept", head)
+            ctor = All if word == "all" else Some
             return ctor(self.role(args[0]), self.concept(args[1]))
-        if head.text in ("atleast", "atmost"):
+        if word in ("atleast", "atmost"):
             if len(args) != 2:
-                raise ParseError(f"({head.text} n R) takes a number and a role", head.line, head.column)
+                raise self.error(f"({word} n R) takes a number and a role", head)
             n = self.number(args[0])
-            ctor = AtLeast if head.text == "atleast" else AtMost
+            ctor = AtLeast if word == "atleast" else AtMost
             return ctor(n, self.role(args[1]))
-        raise ParseError(f"unknown concept constructor {head.text!r}", head.line, head.column)
+        raise self.error(f"unknown concept constructor {word!r}", head)
 
     def role(self, form) -> Role:
-        if isinstance(form, _Tok):
-            return Role((self._claim(form.text, "role", form.line, form.column),))
-        if not form.items:
-            raise ParseError("empty role form", form.line, form.column)
-        head = self._sym(form.items[0], "'and'")
-        if head.text != "and" or len(form.items) < 2:
-            raise ParseError("a compound role must be (and PNAME+)", form.line, form.column)
+        if type(form) is int:
+            return self.role_name(form)
+        if len(form) == 1:
+            raise self.error("empty role form", form)
+        head = self._sym(form[1], "'and'")
+        if self.toks[head] != "and" or len(form) < 3:
+            raise self.error("a compound role must be (and PNAME+)", form)
         names = []
-        for item in form.items[1:]:
-            tok = self._sym(item, "a role name")
-            names.append(self._claim(tok.text, "role", tok.line, tok.column))
+        for item in form[2:]:
+            i = self._sym(item, "a role name")
+            self.role_name(i)
+            names.append(self.toks[i])
         return Role(tuple(names))
 
     def number(self, form) -> int:
-        tok = self._sym(form, "a number")
-        if not tok.text.isdigit():
-            raise ParseError(f"expected a nonnegative integer, got {tok.text!r}", tok.line, tok.column)
-        n = int(tok.text)
+        tok = self.toks[self._sym(form, "a number")]
+        if not tok.isdigit():
+            raise self.error(f"expected a nonnegative integer, got {tok!r}", form)
+        n = int(tok)
         if n > self.number_cap:
-            raise ParseError(f"number {n} exceeds the cap of {self.number_cap}", tok.line, tok.column)
+            raise self.error(f"number {n} exceeds the cap of {self.number_cap}", form)
         return n
 
     def individual(self, form) -> str:
-        tok = self._sym(form, "an individual name")
-        return self._claim(tok.text, "individual", tok.line, tok.column)
+        i = self._sym(form, "an individual name")
+        tok = self.toks[i]
+        self._claim(tok, "individual", i)
+        return tok
 
     def statement(self, form) -> None:
-        if isinstance(form, _Tok):
-            raise ParseError("expected a statement form", form.line, form.column)
-        if not form.items:
-            raise ParseError("empty statement", form.line, form.column)
-        head = self._sym(form.items[0], "a statement keyword")
-        args = form.items[1:]
-        if head.text == "implies":
+        if type(form) is int:
+            raise self.error("expected a statement form", form)
+        if len(form) == 1:
+            raise self.error("empty statement", form)
+        head = self._sym(form[1], "a statement keyword")
+        word = self.toks[head]
+        args = form[2:]
+        if word == "implies":
             if len(args) != 2:
-                raise ParseError("(implies C D) takes two concepts", head.line, head.column)
+                raise self.error("(implies C D) takes two concepts", head)
             self.tbox.add(Inclusion(self.concept(args[0]), self.concept(args[1])))
-        elif head.text in ("define-concept", "define-primitive"):
+        elif word in ("define-concept", "define-primitive"):
             if len(args) != 2:
-                raise ParseError(f"({head.text} A D) takes a concept name and a concept", head.line, head.column)
-            tok = self._sym(args[0], "a concept name")
-            if tok.text in ("TOP", "BOTTOM"):
-                raise ParseError("the defined concept must be a concept name", tok.line, tok.column)
-            lhs = Name(self._claim(tok.text, "concept", tok.line, tok.column))
+                raise self.error(f"({word} A D) takes a concept name and a concept", head)
+            i = self._sym(args[0], "a concept name")
+            if self.toks[i] in ("TOP", "BOTTOM"):
+                raise self.error("the defined concept must be a concept name", i)
+            lhs = self.name(i)
             rhs = self.concept(args[1])
             self.tbox.add(Inclusion(lhs, rhs))
-            if head.text == "define-concept":
+            if word == "define-concept":
                 self.tbox.add(Inclusion(rhs, lhs))
-        elif head.text == "instance":
+        elif word == "instance":
             if len(args) != 2:
-                raise ParseError("(instance a C) takes an individual and a concept", head.line, head.column)
+                raise self.error("(instance a C) takes an individual and a concept", head)
             self.abox.add(ConceptAssertion(self.individual(args[0]), self.concept(args[1])))
-        elif head.text == "related":
+        elif word == "related":
             if len(args) != 3:
-                raise ParseError("(related a b R) takes two individuals and a role", head.line, head.column)
+                raise self.error("(related a b R) takes two individuals and a role", head)
             self.abox.add(RoleAssertion(self.individual(args[0]), self.individual(args[1]), self.role(args[2])))
         else:
-            raise ParseError(f"unknown statement {head.text!r}", head.line, head.column)
+            raise self.error(f"unknown statement {word!r}", head)
 
 
 def parse_concept(text: str, number_cap: int = DEFAULT_NUMBER_CAP) -> Concept:
     """Parse a single concept expression (used for CLI query arguments)."""
-    reader = _Reader(_tokenize(text))
-    if reader.at_end():
+    reader = _Reader(text, number_cap)
+    form = reader.form()
+    if form is None:
         raise ParseError("expected a concept", 1, 1)
-    builder = _KBBuilder(number_cap)
-    c = builder.concept(reader.read_form())
-    if not reader.at_end():
-        tok = reader.toks[reader.pos]
-        raise ParseError("trailing input after concept", tok.line, tok.column)
+    c = reader.concept(form)
+    trailing = next(reader.rest, None)
+    if trailing is not None:
+        raise reader.error("trailing input after concept", trailing[0])
     return c
 
 
 def parse_kb(text: str, number_cap: int = DEFAULT_NUMBER_CAP) -> KnowledgeBase:
-    reader = _Reader(_tokenize(text))
-    builder = _KBBuilder(number_cap)
-    while not reader.at_end():
-        builder.statement(reader.read_form())
-    return KnowledgeBase(frozenset(builder.tbox), frozenset(builder.abox))
+    reader = _Reader(text, number_cap)
+    while (form := reader.form()) is not None:
+        reader.statement(form)
+    return KnowledgeBase(frozenset(reader.tbox), frozenset(reader.abox))
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,23 @@ def random_tbox(rng: random.Random) -> frozenset[Inclusion]:
         Inclusion(random_concept(rng, rng.randint(0, 2)), random_concept(rng, rng.randint(0, 2)))
         for _ in range(rng.randint(0, 2))
     )
+
+
+# What a text edit may insert: structure, name characters, whitespace, a
+# comment start and characters that are no token.
+EDIT_CHARS = "()()ab AR_-'07 \t\r\n;#.é[\x0b"
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """`text` with one to three random character insertions, deletions or
+    replacements, for exercising the exchange-format reader's errors."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        kind = rng.randrange(3)
+        if kind == 0 or not text:
+            text = text[:i] + rng.choice(EDIT_CHARS) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(EDIT_CHARS) + text[i + 1:]
+    return text

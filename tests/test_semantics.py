@@ -126,6 +126,19 @@ class TestInterpretationValidation:
         with pytest.raises(ValueError):
             Interpretation(frozenset({"e"}), {"A": frozenset({"zzz"})}, {})
 
+    def test_immutable_and_independent_of_its_arguments(self):
+        concepts, individuals = {"A": {"e"}}, {"a": "e"}
+        interp = Interpretation({"e", "f"}, concepts, {"P": {("e", "f")}}, individuals)
+        concepts["A"].add("f")
+        individuals["b"] = "f"
+        assert interp.concepts == {"A": frozenset({"e"})}
+        assert interp.individuals == {"a": "e"}
+        for field, key in (("concepts", "A"), ("roles", "P"), ("individuals", "a")):
+            with pytest.raises(TypeError):
+                getattr(interp, field)[key] = frozenset()
+        with pytest.raises(AttributeError):
+            interp.domain = frozenset({"e"})
+
 
 class TestModelText:
     def test_round_trip(self, interp21):

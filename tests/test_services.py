@@ -384,3 +384,15 @@ class TestSession:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_returned_model_cannot_change_a_later_answer(self):
+        """The session stores the model that kb_satisfiable returns; a write
+        to it must fail rather than change what the stored model refutes."""
+        kb = parse_kb("(instance a A)")
+        verdict = kb_satisfiable(kb, self_check=True)
+        assert kb._session.decision is verdict.interpretation
+        with pytest.raises(TypeError):
+            verdict.interpretation.concepts["A"] = frozenset()
+        with pytest.raises(AttributeError):
+            verdict.interpretation.concepts = {}
+        assert instance_of(kb, "a", Name("A")) == TruthVerdict(True)

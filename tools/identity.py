@@ -30,6 +30,10 @@ Families:
                 `concept_satisfiable` of C (full trace), `subsumed_by` C D,
                 `instance_of` C for each individual, `instances` of D, where
                 C and D are the first two of the KB's concept names and A, B
+    parse       the candidates, heavy and fixed KBs as `render_kb` text, each
+                as it is and in two copies with one to three seeded
+                character edits (`_generators.mutate_text`), read by
+                `parse_kb` and by `parse_concept`
 
 In the services family each field lists one entry per call, in call order:
 `status` holds each answer (a verdict's status, a truth value, the sorted
@@ -39,6 +43,11 @@ is_model on each model, and `trace` both traces; `completion` is not
 recorded, since a verdict carries no completion.  A service that reuses a
 KB's translation or decision shows here, where the other families, which
 call `complete(translate_kb(kb))`, cannot see it.
+
+In the parse family only `status` is recorded: for each of the two readers,
+a digest of the parsed value, or the ParseError's line, column and message.
+The other families build their KBs as objects, so only this one sees a
+change to the exchange-format reader.
 
 For each family the harness prints how many inputs differ in each field and
 the first difference it finds, with the first differing trace line when the
@@ -59,10 +68,11 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 FIELDS = ("status", "guard", "trace", "stats", "completion", "model", "checks")
-FAMILIES = ("candidates", "heavy", "fixed", "services")
+FAMILIES = ("candidates", "heavy", "fixed", "services", "parse")
 COUNT = 2000  # inputs in each random family
 SEED = 1
 GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
+MUTANTS = 2  # edited copies of each text in the parse family
 
 
 # -- worker: runs inside one tree -------------------------------------------
@@ -81,6 +91,17 @@ def _inputs(family: str) -> list[tuple[str, object]]:
         return [(f"heavy {i}", kb) for i, kb in enumerate(tbox_heavy_kbs(SEED, COUNT))]
     if family == "services":
         return _inputs("candidates") + _inputs("fixed")
+    if family == "parse":
+        from alcnr import render_kb
+        from _generators import mutate_text
+        rng = random.Random(SEED)
+        found = []
+        for kind in ("candidates", "heavy", "fixed"):
+            for label, kb in _inputs(kind):
+                text = render_kb(kb)
+                found.append((label, text))
+                found += [(f"{label} edit {k}", mutate_text(rng, text)) for k in range(MUTANTS)]
+        return found
     from _kbs import EX21_TEXT, EX33_TEXT, UNA_CLASH_TEXT, clique_probe, teachers_kb
     kb21, kb33 = parse_kb(EX21_TEXT), parse_kb(EX33_TEXT)
     found = [("EX21", kb21), ("EX33", kb33), ("UNA clash", parse_kb(UNA_CLASH_TEXT))]
@@ -178,9 +199,28 @@ def _ask(kb) -> tuple[dict, list[str]]:
     return row, lines
 
 
+def _read(text: str) -> tuple[dict, list[str]]:
+    """The parse family's row: each reader's value (hashed) or its error."""
+    from alcnr import ParseError, parse_concept, parse_kb
+
+    row = dict.fromkeys(FIELDS)
+    row["status"] = []
+    for parse in (parse_kb, parse_concept):
+        try:
+            value = parse(text)
+        except ParseError as exc:
+            row["status"].append([exc.line, exc.column, exc.args[0]])
+        except Exception as exc:  # a crash is a result to compare
+            row["status"].append(f"{type(exc).__name__}: {exc}")
+        else:
+            parts = [value] if parse is parse_concept else [*value.tbox, *value.abox]
+            row["status"].append(_digest(repr(sorted(map(repr, parts)))))
+    return row, []
+
+
 def worker(tree: str, family: str, show: int | None) -> None:
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(TESTS)]
-    decide = _ask if family == "services" else _decide
+    decide = {"services": _ask, "parse": _read}.get(family, _decide)
     for i, (label, kb) in enumerate(_inputs(family)):
         if show is None:
             row, _ = decide(kb)
