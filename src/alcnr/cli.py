@@ -16,12 +16,10 @@ from .semantics import (
     BUDGET_EXCEEDED, Interpretation, find_model_bounded, is_model,
     parse_interpretation, render_interpretation,
 )
-from .services import (
-    Verdict, _instance_counterexample, augment_for_concept_sat, augment_for_instance,
-    augment_for_subsumption, concept_satisfiable, instance_checks, kb_satisfiable,
-)
+from . import services
+from .services import Verdict, instance_checks
 from .syntax import (
-    And, KnowledgeBase, Not, ParseError, parse_concept, parse_kb, render_kb,
+    ConceptAssertion, KnowledgeBase, ParseError, parse_concept, parse_kb, render_kb,
 )
 from .tableau import Guards, Trace
 
@@ -142,37 +140,28 @@ def _cross_check(kb: KnowledgeBase, verdict: Verdict, bound: int, stderr) -> boo
     return True
 
 
-def _goal(kb: KnowledgeBase, args) -> KnowledgeBase:
-    """The KB whose satisfiability answers the command's question, built for
-    the oracle's cross-check."""
+def _goal(kb: KnowledgeBase, args) -> ConceptAssertion | None:
+    """The assertion that the command's question adds to kb (None: kb
+    alone), so that kb plus it is satisfiable iff the answer is SAT, or
+    false."""
+    session = services._session(kb)
     if args.command == "concept-sat":
-        return augment_for_concept_sat(kb, parse_concept(args.concept))
+        return services._fresh_goal(session.reserved, parse_concept(args.concept))
     if args.command == "subsumes":
-        return augment_for_subsumption(kb, parse_concept(args.c), parse_concept(args.d))
+        return services._subsumption_goal(
+            session.reserved, parse_concept(args.c), parse_concept(args.d))
     if args.command == "instance":
-        return augment_for_instance(kb, args.a, parse_concept(args.concept))
-    return kb
-
-
-def _ask(kb: KnowledgeBase, args, trace: Trace | None) -> Verdict:
-    """The verdict on the KB whose satisfiability answers the command's
-    question, decided through kb's session."""
-    guards = _guards(args)
-    if args.command == "concept-sat":
-        return concept_satisfiable(kb, parse_concept(args.concept), guards, trace)
-    if args.command == "subsumes":
-        c_and_not_d = And(parse_concept(args.c), Not(parse_concept(args.d)))
-        return concept_satisfiable(kb, c_and_not_d, guards, trace)
-    if args.command == "instance":
-        return _instance_counterexample(
-            kb, args.a, parse_concept(args.concept), guards, trace)
-    return kb_satisfiable(kb, guards, trace)
+        return services._instance_goal(
+            session.knows(args.a), args.a, parse_concept(args.concept))
+    return None
 
 
 def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
-    """Run the engine on the command's question; returns (verdict, oracle_ok)."""
+    """Run the engine on the command's question through kb's session;
+    returns (verdict, oracle_ok)."""
     trace = Trace(limit=None) if args.trace_file or args.command == "trace" else None
-    verdict = _ask(kb, args, trace)
+    goal = _goal(kb, args)
+    verdict = services._decide(kb, goal, _guards(args), trace)
     if verdict.status == "unknown":
         print(GUARD_WARNING.format(guard=verdict.guard), file=stderr)
     if args.trace_file:
@@ -180,7 +169,8 @@ def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
             fh.write("\n".join(verdict.trace.lines()) + "\n")
     ok = True
     if args.oracle_check is not None:
-        ok = _cross_check(_goal(kb, args), verdict, args.oracle_check, stderr)
+        asked = kb if goal is None else services._with_assertion(kb, goal)
+        ok = _cross_check(asked, verdict, args.oracle_check, stderr)
     return verdict, ok
 
 

@@ -14,8 +14,10 @@ application are not stored pair by pair either: the variables share one
 sibling group, and two objects sharing a group are separated.  A merge
 hands the merged variable's groups to the object replacing it.
 
-Variables carry a creation index realizing the processing order: a fresh
-variable is always ordered after every existing one.  Systems are immutable;
+Each object is its own sort key: an individual is the tuple (0, name) and
+a variable the tuple (1, index) of its creation index, so individuals come
+first and variables follow in the processing order; a fresh variable is
+always ordered after every existing one.  Systems are immutable;
 rule applications build extended copies, which keeps search branches
 independent.  A system stores only indexes (label sets by object, link
 targets by source and role, sibling groups by object, global concepts),
@@ -26,8 +28,9 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -41,28 +44,40 @@ from .syntax import (
 # Objects and constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Ind:
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+class _Object(tuple):
+    """An object is the tuple (tag, part), its own key: objects hash,
+    compare and sort in C, individuals (tag 0) by name before variables
+    (tag 1) by creation index."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((0, self.name)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: int
-    _hash: int = field(init=False, repr=False, compare=False)
+class Ind(_Object):
+    """An ABox individual, (0, name)."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((1, self.index)))
+    __slots__ = ()
+    _field = "name"
+    name = property(itemgetter(1))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (0, name))
+
+
+class Var(_Object):
+    """A variable, (1, index); each fresh one takes the next index."""
+
+    __slots__ = ()
+    _field = "index"
+    index = property(itemgetter(1))
+
+    def __new__(cls, index: int):
+        return tuple.__new__(cls, (1, index))
 
 
 Object = Ind | Var
@@ -73,13 +88,6 @@ Object = Ind | Var
 AUX_INDIVIDUAL = "__aux"
 
 
-def object_key(o: Object):
-    """Total order: individuals (by name) before variables (by index)."""
-    if isinstance(o, Ind):
-        return (0, o.name)
-    return (1, o.index)
-
-
 def object_str(o: Object) -> str:
     return o.name if isinstance(o, Ind) else f"_v{o.index}"
 
@@ -88,12 +96,10 @@ def object_str(o: Object) -> str:
 class Member:
     obj: Object
     concept: Concept
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_simple(self.concept):
             raise ValueError(f"membership concepts must be simple: {render_concept(self.concept)}")
-        object.__setattr__(self, "_hash", hash((2, self.obj, self.concept)))
 
     @classmethod
     def _trusted(cls, obj: Object, concept: Concept) -> "Member":
@@ -103,11 +109,7 @@ class Member:
         m = object.__new__(cls)
         object.__setattr__(m, "obj", obj)
         object.__setattr__(m, "concept", concept)
-        object.__setattr__(m, "_hash", hash((2, obj, concept)))
         return m
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,24 +117,15 @@ class RoleLink:
     source: Object
     role_name: str
     target: Object
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((3, self.source, self.role_name, self.target)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class Global:
     concept: Concept
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_simple(self.concept):
             raise ValueError(f"global constraints must be simple: {render_concept(self.concept)}")
-        object.__setattr__(self, "_hash", hash((4, self.concept)))
 
     @classmethod
     def _trusted(cls, concept: Concept) -> "Global":
@@ -140,30 +133,21 @@ class Global:
         concept taken from a system's globals."""
         g = object.__new__(cls)
         object.__setattr__(g, "concept", concept)
-        object.__setattr__(g, "_hash", hash((4, concept)))
         return g
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class Distinct:
     first: Object
     second: Object
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.first == self.second:
             raise ValueError(f"an object cannot be distinct from itself: {object_str(self.first)}")
-        if object_key(self.first) > object_key(self.second):
+        if self.first > self.second:
             a, b = self.second, self.first
             object.__setattr__(self, "first", a)
             object.__setattr__(self, "second", b)
-        object.__setattr__(self, "_hash", hash((5, self.first, self.second)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,9 +229,9 @@ class ConstraintSystem:
     def _add(self, batch: Iterable[Constraint]) -> None:
         """Index a batch of constraints, grouped first so that each object
         and each (object, role) costs one set union.  A changed dict or set
-        is replaced, never written: the parent may share it.  Object hashes
-        run in Python, so the merges reuse the hashes that the grouping dicts
-        and sets store (`update`, `|=`, `difference`)."""
+        is replaced, never written: the parent may share it.  New objects
+        join the sorted object list at its end unless one sorts before its
+        last object."""
         concepts: dict[Object, set[Concept]] = {}
         targets: dict[Object, dict[str, set[Object]]] = {}
         pairs: list[tuple[Object, Object]] = []
@@ -310,10 +294,10 @@ class ConstraintSystem:
             self._globals = tuple(sorted(union, key=concept_key))
         if len(labels) > known:
             # a dict keeps insertion order, so the new objects come last
-            fresh = sorted(islice(labels, known, None), key=object_key)
+            fresh = sorted(islice(labels, known, None))
             objects = self._objects
-            if objects and object_key(fresh[0]) < object_key(objects[-1]):
-                self._objects = sorted(labels, key=object_key)
+            if objects and fresh[0] < objects[-1]:
+                self._objects = sorted(labels)
             else:
                 self._objects = objects + fresh
         self._labels = labels
@@ -372,7 +356,7 @@ class ConstraintSystem:
         by_role = self._links.get(o, _NO_LINKS)
         return [
             RoleLink(o, p, t)
-            for p in sorted(by_role) for t in sorted(by_role[p], key=object_key)
+            for p in sorted(by_role) for t in sorted(by_role[p])
         ]
 
     def role_successors(self, o: Object, r: Role) -> list[Object]:
@@ -381,7 +365,7 @@ class ConstraintSystem:
         found = by_role.get(r.names[0], _EMPTY)
         for name in r.names[1:]:
             found = found & by_role.get(name, _EMPTY)
-        return sorted(found, key=object_key)
+        return sorted(found)
 
     def has_successors(self, o: Object) -> bool:
         return bool(self._links.get(o))
@@ -501,7 +485,7 @@ class ConstraintSystem:
         loose = [o for o in groups if o not in child._labels]
         if loose:  # objects with nothing but `!=` pairs
             child._labels.update(dict.fromkeys(loose, _EMPTY))
-            child._objects = sorted(child._labels, key=object_key)
+            child._objects = sorted(child._labels)
         return child
 
     def dump(self) -> str:
@@ -521,16 +505,14 @@ def translate_kb(kb: KnowledgeBase) -> ConstraintSystem:
     (unique name assumption).  A KB with an empty ABox gets one auxiliary
     individual asserted to TOP so the system is nonempty.
     """
-    # one Ind per name, so that index lookups match it by identity
-    ind = {name: Ind(name) for name in kb.individuals()}
     constraints: list[Constraint] = [
         Global(to_simple_form(Or(Not(inc.lhs), inc.rhs))) for inc in kb.tbox
     ]
     for a in kb.abox:
         if isinstance(a, ConceptAssertion):
-            constraints.append(Member(ind[a.individual], to_simple_form(a.concept)))
+            constraints.append(Member(Ind(a.individual), to_simple_form(a.concept)))
         else:
-            constraints += (RoleLink(ind[a.subject], p, ind[a.target]) for p in a.role.names)
+            constraints += (RoleLink(Ind(a.subject), p, Ind(a.target)) for p in a.role.names)
     if not kb.abox:
         constraints.append(Member(Ind(AUX_INDIVIDUAL), TOP))
     return ConstraintSystem(constraints, 0, kb)

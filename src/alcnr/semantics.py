@@ -68,6 +68,11 @@ class Interpretation:
         object.__setattr__(self, "roles", MappingProxyType(roles))
         object.__setattr__(self, "individuals", MappingProxyType(individuals))
 
+    def __reduce__(self):
+        # a read-only view cannot be pickled or copied, so copy the dicts
+        return Interpretation, (self.domain, dict(self.concepts), dict(self.roles),
+                                dict(self.individuals))
+
 
 @dataclass
 class Assignment:

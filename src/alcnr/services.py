@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .canonical import extract_model, satisfies_system
 from .constraints import (
-    AUX_INDIVIDUAL, ConstraintSystem, Global, Ind, Member, object_key, translate_kb,
+    AUX_INDIVIDUAL, ConstraintSystem, Global, Ind, Member, translate_kb,
 )
 from .semantics import Assignment, Interpretation, eval_concept, is_model
 from .syntax import (
@@ -105,8 +105,9 @@ class _Session:
         """Is a an individual of the KB?  The base's objects are exactly the
         KB's individuals, in name order."""
         objects = self.base.objects()
-        i = bisect_left(objects, (0, a), key=object_key)
-        return i < len(objects) and objects[i].name == a
+        ind = Ind(a)
+        i = bisect_left(objects, ind)
+        return i < len(objects) and objects[i] == ind
 
 
 def _session(kb: KnowledgeBase) -> _Session:
@@ -174,12 +175,19 @@ def _with_assertion(kb: KnowledgeBase, assertion: ConceptAssertion) -> Knowledge
 
 
 def _fresh_goal(reserved: bool, c: Concept) -> ConceptAssertion:
+    """C(b), b fresh: the KB plus it is satisfiable iff C is."""
     if reserved:
         raise ValueError(f"{FRESH_INDIVIDUAL!r} is reserved and may not appear in a KB")
     return ConceptAssertion(FRESH_INDIVIDUAL, c)
 
 
+def _subsumption_goal(reserved: bool, c: Concept, d: Concept) -> ConceptAssertion:
+    """(C and not D)(b): the KB plus it is unsatisfiable iff C <= D."""
+    return _fresh_goal(reserved, And(c, Not(d)))
+
+
 def _instance_goal(known: bool, a: str, c: Concept) -> ConceptAssertion:
+    """(not C)(a): the KB plus it is unsatisfiable iff a is in C."""
     if not known:
         raise UnknownIndividualError(f"unknown individual {a!r}")
     return ConceptAssertion(a, Not(c))
@@ -190,7 +198,7 @@ def augment_for_concept_sat(kb: KnowledgeBase, c: Concept) -> KnowledgeBase:
 
 
 def augment_for_subsumption(kb: KnowledgeBase, c: Concept, d: Concept) -> KnowledgeBase:
-    return augment_for_concept_sat(kb, And(c, Not(d)))
+    return _with_assertion(kb, _subsumption_goal(FRESH_INDIVIDUAL in kb.all_names(), c, d))
 
 
 def augment_for_instance(kb: KnowledgeBase, a: str, c: Concept) -> KnowledgeBase:
@@ -203,15 +211,6 @@ def concept_satisfiable(
     self_check: bool = False,
 ) -> Verdict:
     return _decide(kb, _fresh_goal(_session(kb).reserved, c), guards, trace, self_check)
-
-
-def _instance_counterexample(
-    kb: KnowledgeBase, a: str, c: Concept,
-    guards: Guards | None = None, trace: Trace | None = None,
-) -> Verdict:
-    """The verdict on kb + (not C)(a), which is UNSAT iff a is an instance
-    of C; the CLI reports it with its trace."""
-    return _decide(kb, _instance_goal(_session(kb).knows(a), a, c), guards, trace)
 
 
 def _true_iff_unsat(
@@ -251,7 +250,7 @@ def subsumed_by(
     kb: KnowledgeBase, c: Concept, d: Concept, guards: Guards | None = None
 ) -> TruthVerdict:
     """True iff C's extension is within D's in every model of kb."""
-    return _answer(kb, _fresh_goal(_session(kb).reserved, And(c, Not(d))), guards)
+    return _answer(kb, _subsumption_goal(_session(kb).reserved, c, d), guards)
 
 
 def instance_of(

@@ -1,10 +1,11 @@
 """Abstract syntax for ALCNR concepts, roles, and knowledge bases.
 
-Concept expressions are immutable values with structural equality and a
-total order (see :func:`concept_key`), which keeps every downstream
-iteration deterministic.  A role is a nonempty conjunction of role names,
-canonicalized to a sorted, deduplicated tuple so that role equality is set
-equality.
+Concept expressions are immutable values, each identified by its key (see
+:func:`concept_key`), a nested tuple from which its equality, its hash and
+a total order follow; the order keeps every downstream iteration
+deterministic.  A role is a nonempty conjunction of role names,
+canonicalized to a sorted, deduplicated tuple, its key, so that role
+equality is set equality.
 
 The textual exchange format is s-expression based, one statement per
 top-level form, with ``;`` line comments:
@@ -28,7 +29,7 @@ within one knowledge base.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 
 
@@ -40,16 +41,37 @@ MAX_NUMBER = 2**64 - 1  # AST-level bound; the parser applies a tighter cap
 DEFAULT_NUMBER_CAP = 2**20
 
 
-# Hashes and order keys are precomputed per node: concepts are immutable and
-# end up in frozensets constantly, so the default recursive dataclass hash is
-# a hot spot.
+class _Node:
+    """A concept or role: immutable, and identified by its key, a tuple that
+    its constructor sets once with `_keyed` (a concept's tag and its parts'
+    keys; a role's names).  Equality and the cached hash follow from the
+    key, so a node hashes and compares in C however deep it is.  Pickle and
+    deepcopy rebuild a node from its fields, since a slotted dataclass's
+    state omits the base's slots."""
 
-@dataclass(frozen=True, slots=True)
-class Role:
+    __slots__ = ("_key", "_hash")
+
+    def _keyed(self, key: tuple) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Role(_Node):
     """A conjunction of role names, stored sorted and deduplicated."""
 
     names: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -57,152 +79,97 @@ class Role:
         canon = tuple(sorted(set(self.names)))
         if canon != self.names:
             object.__setattr__(self, "names", canon)
-        object.__setattr__(self, "_hash", hash(("role", self.names)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed(canon)
 
 
 def role(*names: str) -> Role:
     return Role(tuple(names))
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
+@dataclass(frozen=True, slots=True, eq=False)
+class Name(_Node):
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("empty concept name")
-        object.__setattr__(self, "_key", (0, self.name))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((0, self.name))
 
 
-@dataclass(frozen=True, slots=True)
-class Top:
-    _key = (1,)
-
-    def __hash__(self) -> int:
-        return 1
+@dataclass(frozen=True, slots=True, eq=False)
+class Top(_Node):
+    def __post_init__(self) -> None:
+        self._keyed((1,))
 
 
-@dataclass(frozen=True, slots=True)
-class Bottom:
-    _key = (2,)
-
-    def __hash__(self) -> int:
-        return 2
+@dataclass(frozen=True, slots=True, eq=False)
+class Bottom(_Node):
+    def __post_init__(self) -> None:
+        self._keyed((2,))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
+@dataclass(frozen=True, slots=True, eq=False)
+class And(_Node):
     left: "Concept"
     right: "Concept"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (4, self.left._key, self.right._key))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((4, self.left._key, self.right._key))
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
+@dataclass(frozen=True, slots=True, eq=False)
+class Or(_Node):
     left: "Concept"
     right: "Concept"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (5, self.left._key, self.right._key))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((5, self.left._key, self.right._key))
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
+@dataclass(frozen=True, slots=True, eq=False)
+class Not(_Node):
     concept: "Concept"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (3, self.concept._key))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((3, self.concept._key))
 
 
-@dataclass(frozen=True, slots=True)
-class All:
+@dataclass(frozen=True, slots=True, eq=False)
+class All(_Node):
     role: Role
     concept: "Concept"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (6, self.role.names, self.concept._key))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((6, self.role.names, self.concept._key))
 
 
-@dataclass(frozen=True, slots=True)
-class Some:
+@dataclass(frozen=True, slots=True, eq=False)
+class Some(_Node):
     role: Role
     concept: "Concept"
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", (7, self.role.names, self.concept._key))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((7, self.role.names, self.concept._key))
 
 
-@dataclass(frozen=True, slots=True)
-class AtLeast:
+@dataclass(frozen=True, slots=True, eq=False)
+class AtLeast(_Node):
     count: int
     role: Role
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_count(self.count)
-        object.__setattr__(self, "_key", (8, self.count, self.role.names))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((8, self.count, self.role.names))
 
 
-@dataclass(frozen=True, slots=True)
-class AtMost:
+@dataclass(frozen=True, slots=True, eq=False)
+class AtMost(_Node):
     count: int
     role: Role
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_count(self.count)
-        object.__setattr__(self, "_key", (9, self.count, self.role.names))
-        object.__setattr__(self, "_hash", hash(self._key))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._keyed((9, self.count, self.role.names))
 
 
 def _check_count(n: int) -> None:
@@ -406,6 +373,12 @@ RESERVED_WORDS = frozenset({
 # may not mention it.
 FRESH_INDIVIDUAL = "__fresh"
 
+# The deepest nesting of parentheses in one form, the form's own included.
+# Concepts are walked recursively (the reader, the simple form, repr, the
+# oracle); a repr takes about three of Python's default 1,000 recursion
+# levels per level of nesting, and this leaves room for the caller's frames.
+_MAX_NESTING = 256
+
 # A token is "(", ")" or a run of name characters; " \t\r\n" separate tokens
 # and ";" starts a comment that runs to the end of the line.  _TOKENS finds
 # each token as its group and each comment with an empty group.  _UNEXPECTED
@@ -451,7 +424,8 @@ class _Reader:
         return ParseError(message, *self.position(form if type(form) is int else form[0]))
 
     def form(self):
-        """The next top-level form, read whole; None after the last one."""
+        """The next top-level form, read whole; None after the last one.  An
+        '(' that would open more than _MAX_NESTING forms at once is an error."""
         first = next(self.rest, None)
         if first is None:
             return None
@@ -463,6 +437,8 @@ class _Reader:
         stack, items = [], [i]
         for j, tok in self.rest:
             if tok == "(":
+                if len(stack) + 1 == _MAX_NESTING:
+                    raise self.error(f"forms nest deeper than {_MAX_NESTING} levels", j)
                 stack.append(items)
                 items = [j]
             elif tok != ")":

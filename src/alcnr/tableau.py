@@ -52,7 +52,7 @@ from typing import Iterator
 
 from .constraints import (
     Constraint, ConstraintSystem, Global, Ind, Member, Object, RoleLink,
-    Siblings, Var, constraint_str, object_key, object_str,
+    Siblings, Var, constraint_str, object_str,
 )
 from .syntax import (
     BOTTOM, All, And, AtLeast, AtMost, Bottom, Concept, Name, Not, Or, Role,
@@ -340,7 +340,7 @@ def _object_instances(
 def _iter_instances(system: ConstraintSystem, from_key=None) -> Iterator[RuleInstance]:
     unfolding = _unfolding(system)
     objects = system.objects()
-    start = 0 if from_key is None else bisect_left(objects, from_key, key=object_key)
+    start = 0 if from_key is None else bisect_left(objects, from_key)
     for o in islice(objects, start, None):
         yield from _object_instances(system, o, unfolding)
 
@@ -351,7 +351,7 @@ def applicable_rule_instances(system: ConstraintSystem) -> list[RuleInstance]:
 
 
 def first_rule_instance(system: ConstraintSystem, from_key=None) -> RuleInstance | None:
-    """`from_key`: an object_key before which no object has an instance."""
+    """`from_key`: an object before which no object has an instance."""
     return next(_iter_instances(system, from_key), None)
 
 
@@ -434,8 +434,7 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
     restricts the scan to the given objects (used by the search, which knows
     which objects an application touched).
     """
-    objects = system.objects() if among is None \
-        else sorted(among, key=object_key)
+    objects = system.objects() if among is None else sorted(among)
     for o in objects:
         members = system.member_concepts(o)
         if not members:
@@ -575,7 +574,7 @@ class _Searcher:
             # Objects before every touched one keep no instances: their labels
             # and links are unchanged, a successor's new concept only satisfies
             # forall and exists, and blocking reads earlier variables' labels.
-            from_key = None if touched is None else min(map(object_key, touched))
+            from_key = None if touched is None else min(touched)
 
     # -- dependencies -------------------------------------------------------
 

@@ -16,7 +16,7 @@ from alcnr import (
     BUDGET_EXCEEDED, ConceptAssertion, Inclusion, Interpretation, KnowledgeBase,
     Member, Role, RoleAssertion, RoleLink, TOP, find_model_bounded,
 )
-from alcnr.constraints import ConstraintSystem, Ind, object_key, object_str
+from alcnr.constraints import ConstraintSystem, Ind, object_str
 
 
 def _partitions(items):
@@ -47,7 +47,7 @@ def _quotient_kb(system: ConstraintSystem, part) -> KnowledgeBase:
     reps = []
     for cls in part:
         inds = [o for o in cls if isinstance(o, Ind)]
-        name = inds[0].name if inds else object_str(sorted(cls, key=object_key)[0])
+        name = inds[0].name if inds else object_str(sorted(cls)[0])
         reps.append(name)
         for o in cls:
             rep[o] = name

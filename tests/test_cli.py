@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from alcnr import parse_interpretation, parse_kb
+from alcnr.syntax import _MAX_NESTING
 
 from conftest import EX21_TEXT, EX33_TEXT, UNA_CLASH_TEXT, cli
 
@@ -119,6 +120,32 @@ class TestErrorsAndGuards:
     def test_missing_file(self):
         code, _, err = cli("check-sat", "/nonexistent/kb.txt")
         assert code == 3 and "error" in err
+
+    @pytest.mark.parametrize("opener", ["(not ", "(all R ", "(some R "])
+    def test_every_command_works_at_the_nesting_limit(self, opener, kb_file, tmp_path):
+        depth = _MAX_NESTING - 1  # the statement's own form is one level
+        path = kb_file(f"(instance a {opener * depth}A{')' * depth})")
+        code, model, _ = cli("model", path)
+        assert code == 0
+        (tmp_path / "model.txt").write_text(model, encoding="utf-8")
+        oracle = ["--oracle-check", "2"]
+        for argv in (
+            ["check-sat", path, *oracle], ["concept-sat", path, "A", *oracle],
+            ["subsumes", path, "A", "B", *oracle], ["instance", path, "a", "A", *oracle],
+            ["instances", path, "A"], ["model", path, *oracle], ["trace", path],
+            ["transform", path], ["check-model", path, str(tmp_path / "model.txt")],
+        ):
+            code, _, err = cli(*argv)
+            assert code in (0, 1) and err == "", argv
+
+    def test_nesting_past_the_limit_exits_3(self, kb_file):
+        deep = "(not " * _MAX_NESTING + "A" + ")" * _MAX_NESTING
+        code, out, err = cli("check-sat", kb_file(f"(instance a {deep})"))
+        column = len("(instance a ") + 5 * (_MAX_NESTING - 1) + 1
+        assert (code, out) == (3, "")
+        assert err == f"parse error: 1:{column}: forms nest deeper than {_MAX_NESTING} levels\n"
+        code, out, err = cli("concept-sat", kb_file("(instance a A)"), f"(not {deep})")
+        assert (code, out) == (3, "") and "deeper than" in err
 
     def test_unknown_individual(self, kb_file):
         code, _, err = cli("instance", kb_file(EX21_TEXT), "nobody", "Student")

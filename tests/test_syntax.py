@@ -9,6 +9,7 @@ from alcnr import (
     render_concept, render_kb, role, subconcepts, to_simple_form,
 )
 from alcnr.semantics import Interpretation
+from alcnr.syntax import _MAX_NESTING
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,23 @@ class TestParse:
     def test_unbalanced_paren(self):
         with pytest.raises(ParseError, match="unclosed"):
             parse_kb("(implies A (and B C)")
+
+    @pytest.mark.parametrize("opener", ["(not ", "(and A ", "(or A ", "(all R ", "(some R "])
+    def test_nesting_limit(self, opener):
+        """A form may nest _MAX_NESTING deep, its own parenthesis included;
+        one more '(' is an error at that '(', in a KB or a query concept."""
+        def chain(n):
+            return opener * n + "B" + ")" * n
+        kb = parse_kb(f"(instance a {chain(_MAX_NESTING - 1)})")
+        assert len(kb.abox) == 1
+        with pytest.raises(ParseError, match=f"deeper than {_MAX_NESTING}") as exc:
+            parse_kb(f"(instance a {chain(_MAX_NESTING)})")
+        column = len("(instance a ") + len(opener) * (_MAX_NESTING - 1) + 1
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert render_concept(parse_concept(chain(_MAX_NESTING))) == chain(_MAX_NESTING)
+        with pytest.raises(ParseError, match="deeper") as exc:
+            parse_concept(chain(_MAX_NESTING + 1))
+        assert exc.value.column == len(opener) * _MAX_NESTING + 1
 
 
 # ---------------------------------------------------------------------------

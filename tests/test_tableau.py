@@ -12,7 +12,7 @@ from alcnr import (
 )
 from alcnr.services import augment_for_instance
 from alcnr import constraints, tableau
-from alcnr.constraints import Siblings, object_key
+from alcnr.constraints import Siblings
 from alcnr.tableau import (
     BRANCHING_RULES, GENERATING_RULES, RULE_ATLEAST, RULE_ATMOST, RULE_EXISTS,
     RULE_FORALL, RULE_OR, InvariantViolation,
@@ -791,7 +791,7 @@ def _separation_layout(rng: random.Random) -> ConstraintSystem:
     for _ in range(rng.randint(0, 4)):
         succ = system.role_successors(a, r)
         pairs = [(y, t) for y in succ for t in succ if isinstance(y, Var)
-                 and object_key(t) < object_key(y) and not system.separated(y, t)]
+                 and t < y and not system.separated(y, t)]
         if pairs:
             system = system.substituted(*rng.choice(pairs))
     return system
