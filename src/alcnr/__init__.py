@@ -15,7 +15,7 @@ from .syntax import (
 )
 from .semantics import (
     Assignment, BUDGET_EXCEEDED, Interpretation, NOT_FOUND, eval_concept,
-    find_model_bounded, is_model, parse_interpretation, render_interpretation,
+    find_model_bounded, holds_at, is_model, parse_interpretation, render_interpretation,
     role_pairs,
 )
 from .constraints import (

@@ -16,20 +16,26 @@ from .syntax import Name
 from .tableau import detect_clash, first_rule_instance
 
 
-def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]:
-    """The canonical interpretation and assignment of a completion.
-
-    Raises ValueError if the system still has an applicable rule or contains
-    a clash.  The returned pair satisfies every constraint of the system
-    (see satisfies_system, the engine's strongest self-check).
-    """
+def check_completion(system: ConstraintSystem) -> None:
+    """Raise ValueError unless the system is a completion: clash-free, with
+    no applicable rule.  extract_model runs it, and so does every SAT answer
+    that builds no model."""
     clash = detect_clash(system)
     if clash is not None:
         raise ValueError(f"cannot extract a model from a clashed system ({clash.kind})")
-    witnesses = system.witnesses()  # the completeness scan's blocking reads it
     if first_rule_instance(system) is not None:
         raise ValueError("cannot extract a model from an incomplete system")
 
+
+def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]:
+    """The canonical interpretation and assignment of a completion.
+
+    Raises ValueError if the system is not one (check_completion).  The
+    returned pair satisfies every constraint of the system (see
+    satisfies_system, the engine's strongest self-check).
+    """
+    check_completion(system)
+    witnesses = system.witnesses()
     objects = system.objects()
     element = {o: object_str(o) for o in objects}
     domain = frozenset(element.values())

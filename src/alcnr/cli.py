@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Exit codes: 0 = SAT / true, 1 = UNSAT / false, 2 = UNKNOWN (a resource guard
-fired), 3 = input error, 4 = a --oracle-check cross-verification failed.
+fired), 3 = input error, 4 = a --oracle-check cross-verification failed,
+5 = internal error (any other exception: one line on stderr, no traceback,
+so that a crash never reads as a verdict).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -242,6 +244,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
+        return 5
 
 
 def main(argv=None) -> int:

@@ -156,6 +156,65 @@ def eval_concept(interp: Interpretation, c: Concept) -> frozenset[str]:
     return Extensions(interp)(c)
 
 
+class _Holds:
+    """Whether elements of one interpretation belong to concepts, evaluated
+    element by element: calling it with (c, d) memoizes (concept, element)
+    -> bool, and each role's successor map is built once, from its pairs."""
+
+    __slots__ = ("interp", "_holds", "_successors")
+
+    def __init__(self, interp: Interpretation):
+        self.interp = interp
+        self._holds: dict[tuple[Concept, str], bool] = {}
+        self._successors: dict[Role, dict[str, set[str]]] = {}
+
+    def __call__(self, c: Concept, d: str) -> bool:
+        found = self._holds.get((c, d))
+        if found is None:
+            found = self._holds[c, d] = self._evaluate(c, d)
+        return found
+
+    def successors(self, r: Role, d: str) -> set[str] | tuple[()]:
+        succ = self._successors.get(r)
+        if succ is None:
+            succ = self._successors[r] = {}
+            for s, t in role_pairs(self.interp, r):
+                succ.setdefault(s, set()).add(t)
+        return succ.get(d, ())
+
+    def _evaluate(self, c: Concept, d: str) -> bool:
+        if isinstance(c, Name):
+            return d in self.interp.concepts.get(c.name, ())
+        if isinstance(c, Top):
+            return True
+        if isinstance(c, Bottom):
+            return False
+        if isinstance(c, And):
+            return self(c.left, d) and self(c.right, d)
+        if isinstance(c, Or):
+            return self(c.left, d) or self(c.right, d)
+        if isinstance(c, Not):
+            return not self(c.concept, d)
+        if isinstance(c, All):
+            return all(self(c.concept, t) for t in self.successors(c.role, d))
+        if isinstance(c, Some):
+            return any(self(c.concept, t) for t in self.successors(c.role, d))
+        if isinstance(c, AtLeast):
+            return len(self.successors(c.role, d)) >= c.count
+        if isinstance(c, AtMost):
+            return len(self.successors(c.role, d)) <= c.count
+        raise TypeError(f"not a concept: {c!r}")
+
+
+def holds_at(interp: Interpretation, c: Concept, element: str) -> bool:
+    """Is element, an element of interp's domain, in the extension of c?
+    Equals `element in eval_concept(interp, c)`, but evaluates c only at
+    element and at the elements its role restrictions reach, so its cost
+    follows what c reaches from element rather than the size of the
+    domain."""
+    return _Holds(interp)(c, element)
+
+
 def is_model(interp: Interpretation, kb: KnowledgeBase) -> bool:
     """True iff every inclusion and every assertion of kb holds in interp;
     the check shares one Extensions."""

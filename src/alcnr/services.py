@@ -16,8 +16,14 @@ once a call has decided the KB itself, that decision (UNSAT, or SAT with a
 model that passed the self-check).  An inconsistent KB entails everything,
 and a model of the KB that satisfies a question's added assertion refutes
 the question, so `instance_of` and `subsumed_by` answer such questions
-without a search.  `kb_satisfiable` and `concept_satisfiable` always
-search: their verdicts carry the trace and the model of their own run.
+without a search; for an individual, the model is read at its element
+alone.  Otherwise a clash at the goal's object in the extended system
+answers True with no search, and a search answers by its status: a SAT
+completion passes canonical.check_completion, but no model is built.  So
+the cost of a truth question outside the search follows its goal, not the
+KB.  `kb_satisfiable` and `concept_satisfiable` always search: their
+verdicts carry the trace and the model of their own run, the model built
+on its first read unless the self-check built and checked it.
 """
 
 from __future__ import annotations
@@ -25,17 +31,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .canonical import extract_model, satisfies_system
+from .canonical import check_completion, extract_model, satisfies_system
 from .constraints import (
     AUX_INDIVIDUAL, ConstraintSystem, Global, Ind, Member, translate_kb,
 )
-from .semantics import Assignment, Interpretation, eval_concept, is_model
+from .semantics import Assignment, Interpretation, eval_concept, holds_at, is_model
 from .syntax import (
     And, Concept, ConceptAssertion, FRESH_INDIVIDUAL, KnowledgeBase, Not, TOP,
     to_simple_form,
 )
 from .tableau import (
-    MUTED_TRACE, CompletionResult, Guards, SearchStats, Trace, complete,
+    MUTED_TRACE, CompletionResult, Guards, SearchStats, Trace, complete, detect_clash,
 )
 
 
@@ -57,14 +63,50 @@ class InconclusiveError(RuntimeError):
         self.checks = checks
 
 
-@dataclass
 class Verdict:
-    status: str                                # "sat" | "unsat" | "unknown"
-    interpretation: Interpretation | None = None
-    assignment: Assignment | None = None
-    trace: Trace | None = None
-    guard: str | None = None
-    stats: SearchStats | None = None
+    """The answer to a satisfiability question: status "sat", "unsat" or
+    "unknown" (then `guard` names the guard that fired), the run's trace and
+    stats, and for SAT the canonical model as `interpretation` and
+    `assignment`.  A SAT verdict made without the self-check builds its
+    model when either is first read, and stores the (interpretation,
+    assignment) pair by one assignment: threads that race on a read build
+    equal pairs."""
+
+    __slots__ = ("status", "trace", "guard", "stats", "_model", "_build")
+
+    def __init__(
+        self, status: str, interpretation: Interpretation | None = None,
+        assignment: Assignment | None = None, trace: Trace | None = None,
+        guard: str | None = None, stats: SearchStats | None = None,
+    ):
+        self.status = status
+        self.trace = trace
+        self.guard = guard
+        self.stats = stats
+        self._model = (interpretation, assignment)
+        self._build = None
+
+    @classmethod
+    def _built_when_read(cls, build, trace: Trace, stats: SearchStats) -> "Verdict":
+        """A SAT verdict whose model is build() on its first read."""
+        verdict = cls("sat", trace=trace, stats=stats)
+        verdict._model = None
+        verdict._build = build
+        return verdict
+
+    def _read(self) -> tuple[Interpretation | None, Assignment | None]:
+        model = self._model
+        if model is None:
+            model = self._model = self._build()
+        return model
+
+    @property
+    def interpretation(self) -> Interpretation | None:
+        return self._read()[0]
+
+    @property
+    def assignment(self) -> Assignment | None:
+        return self._read()[1]
 
     @property
     def is_sat(self) -> bool:
@@ -86,9 +128,10 @@ class _Session:
 
     The base is translate_kb of the KB without the auxiliary individual of
     an empty ABox, which only kb-sat needs.  It keeps `kb=None`, so nothing
-    leads from a session back to its KB (no reference cycle); each query's
-    system carries the KB it decides.  Every field is written once, or
-    again with an equal value by a racing thread."""
+    leads from a session back to its KB (no reference cycle), and so does
+    each query's system; a completion gets the KB it decides only when its
+    model is built.  Every field is written once, or again with an equal
+    value by a racing thread."""
 
     __slots__ = ("base", "reserved", "decision")
 
@@ -118,18 +161,40 @@ def _session(kb: KnowledgeBase) -> _Session:
     return session
 
 
-def _verdict(kb: KnowledgeBase, result: CompletionResult, self_check: bool) -> Verdict:
+def _query_system(kb: KnowledgeBase, goal: ConceptAssertion | None) -> ConstraintSystem:
+    """kb's base system plus the goal's membership (kb alone for None): it
+    equals translate_kb of kb plus goal, but for its `kb`, which is None."""
+    if goal is None:
+        added = () if kb.abox else (Member(Ind(AUX_INDIVIDUAL), TOP),)
+    else:
+        added = (Member(Ind(goal.individual), to_simple_form(goal.concept)),)
+    return _session(kb).base.extended(added)
+
+
+def _verdict(
+    kb: KnowledgeBase, goal: ConceptAssertion | None, result: CompletionResult,
+    self_check: bool,
+) -> Verdict:
     if result.status == "resource-exceeded":
         return Verdict("unknown", trace=result.trace, guard=result.guard,
                        stats=result.stats)
     if result.status == "unsat":
         return Verdict("unsat", trace=result.trace, stats=result.stats)
-    interp, assignment = extract_model(result.completion)
-    if self_check:
-        if not satisfies_system(result.completion, interp, assignment):
-            raise SelfCheckError("canonical model does not satisfy its completion")
-        if not is_model(interp, kb):
-            raise SelfCheckError("canonical model does not satisfy the source KB")
+    completion = result.completion
+
+    def model() -> tuple[Interpretation, Assignment]:
+        # extract_model reads the decided KB's names, is_model checks it
+        completion.kb = kb if goal is None else _with_assertion(kb, goal)
+        return extract_model(completion)
+
+    if not self_check:
+        check_completion(completion)
+        return Verdict._built_when_read(model, result.trace, result.stats)
+    interp, assignment = model()
+    if not satisfies_system(completion, interp, assignment):
+        raise SelfCheckError("canonical model does not satisfy its completion")
+    if not is_model(interp, completion.kb):
+        raise SelfCheckError("canonical model does not satisfy the source KB")
     return Verdict("sat", interp, assignment, result.trace, stats=result.stats)
 
 
@@ -138,17 +203,10 @@ def _decide(
     trace: Trace | None = None, self_check: bool = False,
 ) -> Verdict:
     """Decide kb plus the goal assertion (kb alone for None) on the base
-    system of kb's session: the system equals translate_kb of that KB."""
-    if goal is None:
-        decided = kb
-        added = () if kb.abox else (Member(Ind(AUX_INDIVIDUAL), TOP),)
-    else:
-        decided = _with_assertion(kb, goal)
-        added = (Member(Ind(goal.individual), to_simple_form(goal.concept)),)
-    system = _session(kb).base.extended(added)
-    system.kb = decided  # extract_model reads its names, is_model checks it
-    result = complete(system, guards, trace if trace is not None else MUTED_TRACE)
-    return _verdict(decided, result, self_check)
+    system of kb's session."""
+    result = complete(_query_system(kb, goal), guards,
+                      trace if trace is not None else MUTED_TRACE)
+    return _verdict(kb, goal, result, self_check)
 
 
 def kb_satisfiable(
@@ -217,11 +275,19 @@ def _true_iff_unsat(
     kb: KnowledgeBase, goal: ConceptAssertion, guards: Guards | None
 ) -> TruthVerdict:
     """True iff kb plus goal, the assertion that a counterexample to a
-    question would satisfy, is unsatisfiable; None when a guard fired."""
-    v = _decide(kb, goal, guards)
-    if v.status == "unknown":
-        return TruthVerdict(None, v.guard)
-    return TruthVerdict(v.status == "unsat")
+    question would satisfy, is unsatisfiable; None when a guard fired.  A
+    clash at the goal's object answers True with no search.  A search
+    answers by its status alone: its completion is checked, but no model
+    is built."""
+    system = _query_system(kb, goal)
+    if detect_clash(system, (Ind(goal.individual),)) is not None:
+        return TruthVerdict(True)
+    result = complete(system, guards, MUTED_TRACE)
+    if result.status == "resource-exceeded":
+        return TruthVerdict(None, result.guard)
+    if result.status == "sat":
+        check_completion(result.completion)
+    return TruthVerdict(result.status == "unsat")
 
 
 def _answer(
@@ -229,7 +295,8 @@ def _answer(
 ) -> TruthVerdict:
     """_true_iff_unsat, answered by kb's stored decision when it settles the
     question.  An inconsistent kb entails everything.  A model of kb that
-    satisfies goal is a counterexample: for an individual, as it stands;
+    satisfies goal is a counterexample: for an individual, as it stands,
+    which takes evaluating goal's concept at the individual's element only;
     for the fresh individual, with a new element that copies one in goal's
     extension (its labels and outgoing pairs), which keeps every concept's
     extension and the unique names."""
@@ -237,11 +304,11 @@ def _answer(
     if decision is _UNSAT:
         return TruthVerdict(True)
     if decision is not None:
-        members = eval_concept(decision, goal.concept)
         if goal.individual == FRESH_INDIVIDUAL:
-            if members:
-                return TruthVerdict(False)
-        elif decision.individuals[goal.individual] in members:
+            refuted = bool(eval_concept(decision, goal.concept))
+        else:
+            refuted = holds_at(decision, goal.concept, decision.individuals[goal.individual])
+        if refuted:
             return TruthVerdict(False)
     return _true_iff_unsat(kb, goal, guards)
 

@@ -373,10 +373,12 @@ RESERVED_WORDS = frozenset({
 # may not mention it.
 FRESH_INDIVIDUAL = "__fresh"
 
-# The deepest nesting of parentheses in one form, the form's own included.
-# Concepts are walked recursively (the reader, the simple form, repr, the
-# oracle); a repr takes about three of Python's default 1,000 recursion
-# levels per level of nesting, and this leaves room for the caller's frames.
+# The deepest nesting of parentheses in one form, the form's own included,
+# where a k-argument (and ...) or (or ...) counts k - 1 levels: it folds into
+# a left chain of k - 1 binary nodes.  Concepts are walked recursively (the
+# reader, the simple form, repr, the oracle); a repr takes about three of
+# Python's default 1,000 recursion levels per level of nesting, and this
+# leaves room for the caller's frames.
 _MAX_NESTING = 256
 
 # A token is "(", ")" or a run of name characters; " \t\r\n" separate tokens
@@ -482,7 +484,10 @@ class _Reader:
             r = self.roles[tok] = Role((tok,))
         return r
 
-    def concept(self, form) -> Concept:
+    def concept(self, form, level: int = 1) -> Concept:
+        """The concept of a form whose '(' is at nesting `level` (1 at the
+        top, counted as _MAX_NESTING counts).  A form whose last level
+        passes _MAX_NESTING is an error at its '('."""
         if type(form) is int:
             return self.name(form)
         if len(form) == 1:
@@ -490,23 +495,28 @@ class _Reader:
         head = self._sym(form[1], "a concept constructor")
         word = self.toks[head]
         args = form[2:]
-        if word in ("and", "or"):
+        wide = word in ("and", "or")
+        # a k-argument (and ...) or (or ...) takes one level per node of its chain
+        last = level + max(len(args) - 2, 0) if wide else level
+        if last > _MAX_NESTING:
+            raise self.error(f"forms nest deeper than {_MAX_NESTING} levels", form)
+        if wide:
             if len(args) < 2:
                 raise self.error(f"({word} ...) needs at least two concepts", head)
             ctor = And if word == "and" else Or
-            acc = self.concept(args[0])
-            for arg in args[1:]:
-                acc = ctor(acc, self.concept(arg))
+            acc = self.concept(args[0], last + 1)
+            for j, arg in enumerate(args[1:], 1):
+                acc = ctor(acc, self.concept(arg, level + len(args) - j))
             return acc
         if word == "not":
             if len(args) != 1:
                 raise self.error("(not ...) takes exactly one concept", head)
-            return Not(self.concept(args[0]))
+            return Not(self.concept(args[0], level + 1))
         if word in ("all", "some"):
             if len(args) != 2:
                 raise self.error(f"({word} R C) takes a role and a concept", head)
             ctor = All if word == "all" else Some
-            return ctor(self.role(args[0]), self.concept(args[1]))
+            return ctor(self.role(args[0]), self.concept(args[1], level + 1))
         if word in ("atleast", "atmost"):
             if len(args) != 2:
                 raise self.error(f"({word} n R) takes a number and a role", head)
@@ -556,7 +566,7 @@ class _Reader:
         if word == "implies":
             if len(args) != 2:
                 raise self.error("(implies C D) takes two concepts", head)
-            self.tbox.add(Inclusion(self.concept(args[0]), self.concept(args[1])))
+            self.tbox.add(Inclusion(self.concept(args[0], 2), self.concept(args[1], 2)))
         elif word in ("define-concept", "define-primitive"):
             if len(args) != 2:
                 raise self.error(f"({word} A D) takes a concept name and a concept", head)
@@ -564,14 +574,14 @@ class _Reader:
             if self.toks[i] in ("TOP", "BOTTOM"):
                 raise self.error("the defined concept must be a concept name", i)
             lhs = self.name(i)
-            rhs = self.concept(args[1])
+            rhs = self.concept(args[1], 2)
             self.tbox.add(Inclusion(lhs, rhs))
             if word == "define-concept":
                 self.tbox.add(Inclusion(rhs, lhs))
         elif word == "instance":
             if len(args) != 2:
                 raise self.error("(instance a C) takes an individual and a concept", head)
-            self.abox.add(ConceptAssertion(self.individual(args[0]), self.concept(args[1])))
+            self.abox.add(ConceptAssertion(self.individual(args[0]), self.concept(args[1], 2)))
         elif word == "related":
             if len(args) != 3:
                 raise self.error("(related a b R) takes two individuals and a role", head)

@@ -147,6 +147,49 @@ class TestErrorsAndGuards:
         code, out, err = cli("concept-sat", kb_file("(instance a A)"), f"(not {deep})")
         assert (code, out) == (3, "") and "deeper than" in err
 
+    @staticmethod
+    def _wide(k: int) -> str:
+        return "(and " + " ".join(f"A{i}" for i in range(k)) + ")"
+
+    def test_wide_forms_count_their_folded_depth(self, kb_file):
+        """A k-argument (and ...) folds into k - 1 levels, so in (instance a
+        C) a 257-wide one is refused, and a 255-wide one decides in every
+        decision command (the BOTTOM settles each at once)."""
+        ok = kb_file(f"(instance a {self._wide(255)}) (instance a BOTTOM)", "ok.txt")
+        for argv, want in (
+            (["check-sat", ok], (1, "UNSAT\n")), (["concept-sat", ok, "A0"], (1, "UNSAT\n")),
+            (["subsumes", ok, self._wide(255), "B"], (0, "true\n")),
+            (["instance", ok, "a", self._wide(255)], (0, "true\n")),
+            (["instances", ok, self._wide(255)], (0, "a\n")), (["model", ok], (1, "")),
+            (["trace", ok], (1, "step 1: clash: bottom on a\nresult: UNSAT\n")),
+        ):
+            assert cli(*argv)[:2] == want, argv
+        for width in (257, 1000):
+            path = kb_file(f"(instance a {self._wide(width)})", f"{width}.txt")
+            for argv in (["check-sat", path], ["concept-sat", path, "A0"],
+                         ["subsumes", path, "A0", "A1"], ["instance", path, "a", "A0"],
+                         ["instances", path, "A0"], ["model", path], ["trace", path]):
+                code, out, err = cli(*argv)
+                assert (code, out) == (3, ""), argv
+                assert err == f"parse error: 1:13: forms nest deeper than {_MAX_NESTING} levels\n"
+        code, _, err = cli("concept-sat", ok, self._wide(258))
+        assert code == 3 and "deeper than" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-sat"], ["concept-sat", "Prof"], ["subsumes", "Student", "Prof"],
+        ["instance", "john", "Student"], ["instances", "Student"], ["model"], ["trace"],
+    ])
+    def test_an_engine_crash_exits_5(self, kb_file, monkeypatch, argv):
+        from alcnr import services
+
+        def complete(system, guards=None, trace=None):
+            raise RuntimeError("engine crashed")
+
+        monkeypatch.setattr(services, "complete", complete)
+        code, out, err = cli(argv[0], kb_file(EX21_TEXT), *argv[1:])
+        assert (code, out) == (5, "")
+        assert err == "internal error: RuntimeError: engine crashed\n"
+
     def test_unknown_individual(self, kb_file):
         code, _, err = cli("instance", kb_file(EX21_TEXT), "nobody", "Student")
         assert code == 3 and "nobody" in err

@@ -5,7 +5,7 @@ import pytest
 from alcnr import (
     All, And, AtLeast, AtMost, BOTTOM, BUDGET_EXCEEDED, Bottom, Interpretation,
     Name, NOT_FOUND, Not, Or, Some, TOP, Top, eval_concept, find_model_bounded,
-    is_model, parse_interpretation, parse_kb, render_interpretation, role,
+    holds_at, is_model, parse_interpretation, parse_kb, render_interpretation, role,
     role_pairs,
 )
 from alcnr.semantics import Extensions
@@ -65,6 +65,28 @@ class TestEvalConcept:
                 fresh = eval_concept(interp, c)
                 assert ext(c) == fresh
                 assert fresh == {d for d in interp.domain if _holds(interp, d, c)}
+
+    def test_holds_at_matches_the_extension(self):
+        """Element-wise evaluation, on interpretations of up to 6 elements and
+        concepts with role conjunctions, number restrictions and nested
+        all/some."""
+        rng = random.Random(10)
+        for n in range(200):
+            if n % 2:
+                interp = random_interpretation(rng)
+            else:
+                elems = [f"d{i}" for i in range(rng.randint(1, 6))]
+                interp = Interpretation(
+                    frozenset(elems),
+                    {a: frozenset(e for e in elems if rng.random() < 0.5) for a in "ABC"},
+                    {p: frozenset((s, t) for s in elems for t in elems if rng.random() < 0.3)
+                     for p in "RS"},
+                )
+            for _ in range(20):
+                c = random_concept(rng, rng.randint(0, 4))
+                extension = eval_concept(interp, c)
+                for e in sorted(interp.domain):
+                    assert holds_at(interp, c, e) == (e in extension)
 
 
 def _holds(interp, d, c) -> bool:

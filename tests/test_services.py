@@ -9,7 +9,7 @@ from alcnr import (
     concept_satisfiable, instance_checks, instance_of, instances, is_model,
     kb_satisfiable, parse_kb, role, subsumed_by, translate_kb,
 )
-from alcnr import services
+from alcnr import render_interpretation, services
 from alcnr.services import (
     augment_for_concept_sat, augment_for_instance, augment_for_subsumption,
 )
@@ -204,11 +204,13 @@ class TestModelPrunedRetrieval:
         self._agrees_with_one_run_each(teachers_kb(10), Name("Course"))
 
     def test_the_model_refutes_all_but_the_courses(self, monkeypatch):
+        """The model refutes the teachers; each course is asserted one, so
+        its check clashes at the goal and needs no search either."""
         kb = teachers_kb(10)
         runs = self._counting(monkeypatch)
         found = instances(kb, Name("Course"))
         assert found == frozenset(f"c{i}" for i in range(10))
-        assert len(runs) == 1 + 10
+        assert len(runs) == 1
 
     def test_an_inconsistent_kb_makes_one_run(self, monkeypatch):
         kb = parse_kb("(instance a BOTTOM) (instance b A) (related b c R)")
@@ -230,21 +232,6 @@ class TestSession:
     once and extended by one membership per query, and its decision once a
     call has made one."""
 
-    class _Searched(Exception):
-        pass
-
-    @classmethod
-    def _systems(cls, monkeypatch) -> list:
-        """Record the system each service call would search, and stop it."""
-        systems = []
-
-        def complete(system, guards=None, trace=None):
-            systems.append(system)
-            raise cls._Searched
-
-        monkeypatch.setattr(services, "complete", complete)
-        return systems
-
     @staticmethod
     def _kbs() -> list:
         rng = random.Random(67)
@@ -255,26 +242,46 @@ class TestSession:
         ]
 
     def test_each_query_system_is_the_translation_of_its_kb(self, monkeypatch):
-        systems = self._systems(monkeypatch)
+        """The system a question is decided on, by the clash test at its goal
+        or by a search, is translate_kb of the KB plus the goal, but for its
+        `kb`: that is attached only when a model is built, and the model
+        then satisfies the augmented KB."""
+        systems = []
+        clash_test, searched = services.detect_clash, services.complete
+
+        def detect_clash(system, among=None):
+            systems.append(system)
+            return clash_test(system, among)
+
+        def complete(system, guards=None, trace=None):
+            systems.append(system)
+            return searched(system, guards, trace)
+
+        monkeypatch.setattr(services, "detect_clash", detect_clash)
+        monkeypatch.setattr(services, "complete", complete)
         rng = random.Random(68)
+        guards = Guards(max_variables=60, max_constraints=4000, max_branches=1500)
         for kb in self._kbs():
             c, d = random_concept(rng, 2), random_concept(rng, 2)
             # the decision comes last, so that no stored one answers a question
             calls = [
-                (lambda: concept_satisfiable(kb, c), augment_for_concept_sat(kb, c)),
-                (lambda: subsumed_by(kb, c, d), augment_for_subsumption(kb, c, d)),
-                *((lambda a=a: instance_of(kb, a, c), augment_for_instance(kb, a, c))
+                (lambda: concept_satisfiable(kb, c, guards), augment_for_concept_sat(kb, c)),
+                (lambda: subsumed_by(kb, c, d, guards), augment_for_subsumption(kb, c, d)),
+                *((lambda a=a: instance_of(kb, a, c, guards), augment_for_instance(kb, a, c))
                   for a in sorted(kb.individuals())),
-                (lambda: kb_satisfiable(kb), kb),
+                (lambda: kb_satisfiable(kb, guards), kb),
             ]
             for call, augmented in calls:
-                with pytest.raises(self._Searched):
-                    call()
-                got, want = systems.pop(), translate_kb(augmented)
-                assert got.kb == augmented
+                answer = call()
+                got, want = systems[0], translate_kb(augmented)
+                assert all(system is got for system in systems)
+                assert got.kb is None
                 assert got.dump() == want.dump()
                 assert got.objects() == want.objects()
                 assert (got.size, got.next_var_index) == (want.size, want.next_var_index)
+                if getattr(answer, "is_sat", False):
+                    assert is_model(answer.interpretation, augmented)
+                systems.clear()
 
     def test_a_kb_is_translated_once(self, monkeypatch):
         translations = []
@@ -331,7 +338,8 @@ class TestSession:
         for stored, searched in zip(answers["stored"], answers["searched"]):
             assert searched.value is None or stored == searched
         questions = len(answers["searched"])
-        assert searches["searched"] == questions
+        # at most one search a question: a clash at the goal needs none
+        assert searches["searched"] <= questions
         # the stored decision settles more than half of the questions
         assert searches["stored"] < questions / 2
 
@@ -379,6 +387,8 @@ class TestSession:
                 kb_satisfiable(kb, self_check=True)
                 concept_satisfiable(kb, Name("A"))
                 subsumed_by(kb, Name("A"), Name("B"))
+                for a in sorted(kb.individuals()):
+                    instance_of(kb, a, Some(role("R"), Name("A")))
                 instance_checks(kb, Name("A"))
             del kb
             assert gc.collect() == 0
@@ -396,3 +406,114 @@ class TestSession:
         with pytest.raises(AttributeError):
             verdict.interpretation.concepts = {}
         assert instance_of(kb, "a", Name("A")) == TruthVerdict(True)
+
+
+class TestTruthQuestionsBuildNoModel:
+    """instance_of and subsumed_by answer by a clash test at the goal, a
+    search's status or the stored decision; none of them builds a canonical
+    model.  instances builds one only to decide the KB, once."""
+
+    def test_no_question_extracts_a_model(self, monkeypatch):
+        built = []
+        extract = services.extract_model
+
+        def extract_model(system):
+            built.append(system)
+            return extract(system)
+
+        monkeypatch.setattr(services, "extract_model", extract_model)
+        rng = random.Random(71)
+        kbs = [parse_kb(EX21_TEXT), parse_kb(EX33_TEXT), *random_kbs(seed=71, count=80)]
+        consistent = 0
+        for kb in kbs:
+            c, d = random_concept(rng, 2), random_concept(rng, 2)
+
+            def ask():
+                subsumed_by(kb, c, d)
+                for a in sorted(kb.individuals()):
+                    instance_of(kb, a, c)
+
+            ask()  # undecided: no stored decision
+            assert built == []
+            if kb.individuals():
+                instances(kb, d)  # decides kb, with its one model
+                assert len(built) == (kb._session.decision is not services._UNSAT)
+                consistent += len(built)
+                built.clear()
+            ask()  # decided, when kb has individuals
+            instances(kb, c)
+            assert built == []
+        assert consistent >= 40
+
+    def test_a_searched_sat_answer_checks_its_completion(self, monkeypatch):
+        def check_completion(system):
+            raise ValueError("completion checked")
+
+        monkeypatch.setattr(services, "check_completion", check_completion)
+        kb = parse_kb(EX21_TEXT)
+        for ask in (lambda: instance_of(kb, "john", Name("Prof")),
+                    lambda: subsumed_by(kb, Name("Student"), Name("Prof")),
+                    lambda: kb_satisfiable(kb),
+                    lambda: concept_satisfiable(kb, Name("Prof"))):
+            with pytest.raises(ValueError, match="completion checked"):
+                ask()
+        # an UNSAT answer has no completion to check
+        assert instance_of(kb, "john", Name("Student")).value is True
+
+
+class TestModelBuiltWhenRead:
+    """A verdict without the self-check builds its model on the first read;
+    it equals the model of a self-checked verdict."""
+
+    @staticmethod
+    def _model(verdict) -> tuple:
+        return (render_interpretation(verdict.interpretation),
+                sorted(verdict.assignment.mapping.items()))
+
+    def test_it_equals_the_eagerly_built_model(self):
+        rng = random.Random(72)
+        kbs = [parse_kb(EX21_TEXT), parse_kb(EX33_TEXT), teachers_kb(3),
+               *random_kbs(seed=72, count=150)]
+        sat = 0
+        for kb in kbs:
+            c = random_concept(rng, 2)
+            for decide in (lambda on, check: kb_satisfiable(on, self_check=check),
+                           lambda on, check: concept_satisfiable(on, c, self_check=check)):
+                lazy = decide(KnowledgeBase(kb.tbox, kb.abox), False)
+                eager = decide(KnowledgeBase(kb.tbox, kb.abox), True)
+                assert (lazy.status, lazy.stats) == (eager.status, eager.stats)
+                if eager.is_sat:
+                    sat += 1
+                    assert lazy._model is None
+                    assert self._model(lazy) == self._model(eager)
+                    assert lazy.interpretation is lazy.interpretation
+                else:
+                    assert (lazy.interpretation, lazy.assignment) == (None, None)
+        assert sat >= 150
+
+    def test_threads_that_read_one_model_get_equal_values(self):
+        import sys
+        import threading
+
+        want = self._model(kb_satisfiable(teachers_kb(10), self_check=True))
+        for _ in range(3):
+            verdict = kb_satisfiable(teachers_kb(10))
+            start = threading.Barrier(8)
+            got = [None] * 8
+
+            def read(i):
+                start.wait()
+                got[i] = self._model(verdict)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8

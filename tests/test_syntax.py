@@ -148,6 +148,38 @@ class TestParse:
             parse_concept(chain(_MAX_NESTING + 1))
         assert exc.value.column == len(opener) * _MAX_NESTING + 1
 
+    @pytest.mark.parametrize("word", ["and", "or"])
+    def test_a_wide_form_counts_its_folded_depth(self, word):
+        """A k-argument (and ...) or (or ...) folds into a chain of k - 1
+        nodes, and each counts toward the nesting limit."""
+        def wide(k, first="A0"):
+            return f"({word} {first} " + " ".join(f"A{i}" for i in range(1, k)) + ")"
+        for k in (255, 256):
+            (assertion,) = parse_kb(f"(instance a {wide(k)})").abox
+            c = assertion.concept
+            assert render_concept(c) == wide(k)
+        for k in (257, 1000):
+            with pytest.raises(ParseError, match=f"deeper than {_MAX_NESTING}") as exc:
+                parse_kb(f"(instance a {wide(k)})")
+            assert (exc.value.line, exc.value.column) == (1, len("(instance a ") + 1)
+        assert render_concept(parse_concept(wide(257))) == wide(257)
+        with pytest.raises(ParseError, match="deeper"):
+            parse_concept(wide(258))
+        # deep and wide: the first argument sits below the whole chain
+        for depth, refused in ((195, False), (196, True)):
+            text = f"(instance a {wide(61, '(not ' * depth + 'B' + ')' * depth)})"
+            if refused:
+                with pytest.raises(ParseError, match="deeper") as exc:
+                    parse_kb(text)
+                assert exc.value.column == len(f"(instance a ({word} ") + 5 * (depth - 1) + 1
+            else:
+                assert len(parse_kb(text).abox) == 1
+        # the later arguments sit higher: the last one only one level below
+        last = "(not " * 254 + "B" + ")" * 254
+        kb = parse_kb(f"(instance a ({word} " + " ".join(f"A{i}" for i in range(59)) +
+                      f" {last}))")
+        assert len(kb.abox) == 1
+
 
 # ---------------------------------------------------------------------------
 # rendering

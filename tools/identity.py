@@ -30,19 +30,25 @@ Families:
                 `concept_satisfiable` of C (full trace), `subsumed_by` C D,
                 `instance_of` C for each individual, `instances` of D, where
                 C and D are the first two of the KB's concept names and A, B
+    questions   the same KBs and questions without the first two calls:
+                `subsumed_by`, each `instance_of` and `instances`, asked on
+                a fresh KB object, so that they meet no stored decision
+                (until `instances` makes one)
     parse       the candidates, heavy and fixed KBs as `render_kb` text, each
                 as it is and in two copies with one to three seeded
                 character edits (`_generators.mutate_text`), read by
                 `parse_kb` and by `parse_concept`
 
-In the services family each field lists one entry per call, in call order:
-`status` holds each answer (a verdict's status, a truth value, the sorted
-members, or the exception raised), `guard` each guard, `stats` each
-verdict's counters, `model` each verdict's model (hashed together), `checks`
-is_model on each model, and `trace` both traces; `completion` is not
-recorded, since a verdict carries no completion.  A service that reuses a
-KB's translation or decision shows here, where the other families, which
-call `complete(translate_kb(kb))`, cannot see it.
+In the services and questions families each field lists one entry per
+call, in call order: `status` holds each answer (a verdict's status, a
+truth value, the sorted members, or the exception raised), `guard` each
+guard, `stats` each verdict's counters, `model` each verdict's model
+(hashed together), `checks` is_model on each model, and `trace` both
+traces; `completion` is not recorded, since a verdict carries no
+completion.  A service that reuses a KB's translation or decision shows
+here, where the other families, which call `complete(translate_kb(kb))`,
+cannot see it; the questions family sees the path a truth question takes
+before any decision is stored.
 
 In the parse family only `status` is recorded: for each of the two readers,
 a digest of the parsed value, or the ParseError's line, column and message.
@@ -68,7 +74,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 FIELDS = ("status", "guard", "trace", "stats", "completion", "model", "checks")
-FAMILIES = ("candidates", "heavy", "fixed", "services", "parse")
+FAMILIES = ("candidates", "heavy", "fixed", "services", "questions", "parse")
 COUNT = 2000  # inputs in each random family
 SEED = 1
 GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
@@ -89,7 +95,7 @@ def _inputs(family: str) -> list[tuple[str, object]]:
     if family == "heavy":
         from _tbox_generators import tbox_heavy_kbs
         return [(f"heavy {i}", kb) for i, kb in enumerate(tbox_heavy_kbs(SEED, COUNT))]
-    if family == "services":
+    if family in ("services", "questions"):
         return _inputs("candidates") + _inputs("fixed")
     if family == "parse":
         from alcnr import render_kb
@@ -154,23 +160,30 @@ def _decide(kb) -> tuple[dict, list[str]]:
     return row, lines
 
 
-def _ask(kb) -> tuple[dict, list[str]]:
-    """The services family's row: each service called on the one KB object."""
+def _ask(kb, family: str) -> tuple[dict, list[str]]:
+    """The services or questions family's row: each service called on one
+    KB object, a fresh one for questions."""
     from alcnr import (
-        Guards, Name, Trace, TruthVerdict, concept_satisfiable, instance_of,
-        instances, is_model, kb_satisfiable, render_interpretation, subsumed_by,
+        Guards, KnowledgeBase, Name, Trace, TruthVerdict, concept_satisfiable,
+        instance_of, instances, is_model, kb_satisfiable, render_interpretation,
+        subsumed_by,
     )
 
+    if family == "questions":
+        kb = KnowledgeBase(kb.tbox, kb.abox)  # no session, so no stored decision
     guards = Guards(debug_checks=True, **GUARDS)
     c, d = (Name(n) for n in [*sorted(kb.concept_names()), "A", "B"][:2])
     traces = Trace(limit=None), Trace(limit=None)
     calls = [
-        lambda: kb_satisfiable(kb, guards, traces[0], self_check=True),
-        lambda: concept_satisfiable(kb, c, guards, traces[1]),
         lambda: subsumed_by(kb, c, d, guards),
         *(lambda a=a: instance_of(kb, a, c, guards) for a in sorted(kb.individuals())),
         lambda: instances(kb, d, guards),
     ]
+    if family == "services":
+        calls[:0] = [
+            lambda: kb_satisfiable(kb, guards, traces[0], self_check=True),
+            lambda: concept_satisfiable(kb, c, guards, traces[1]),
+        ]
     row = {f: [] for f in FIELDS}
     models = []
     for call in calls:
@@ -220,7 +233,9 @@ def _read(text: str) -> tuple[dict, list[str]]:
 
 def worker(tree: str, family: str, show: int | None) -> None:
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(TESTS)]
-    decide = {"services": _ask, "parse": _read}.get(family, _decide)
+    decide = {"services": lambda kb: _ask(kb, "services"),
+              "questions": lambda kb: _ask(kb, "questions"),
+              "parse": _read}.get(family, _decide)
     for i, (label, kb) in enumerate(_inputs(family)):
         if show is None:
             row, _ = decide(kb)
