@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .constraints import ConstraintSystem, Ind, object_str
 from .semantics import Assignment, Extensions, Interpretation
-from .syntax import Name
+from .table import NAME, bit_ids
 from .tableau import detect_clash, first_rule_instance
 
 
@@ -40,12 +40,13 @@ def extract_model(system: ConstraintSystem) -> tuple[Interpretation, Assignment]
     element = {o: object_str(o) for o in objects}
     domain = frozenset(element.values())
 
+    table = system.concept_table()
+    names = table.kinds[NAME]
     concepts: dict[str, set[str]] = {a: set() for a in system.kb.concept_names()}
     roles: dict[str, set[tuple[str, str]]] = {p: set() for p in system.kb.role_names()}
     for o in objects:
-        for c in system.member_concepts(o):
-            if isinstance(c, Name):
-                concepts.setdefault(c.name, set()).add(element[o])
+        for c in bit_ids(system.label(o) & names):
+            concepts.setdefault(table.concepts[c].name, set()).add(element[o])
         for p, targets in system.link_targets(o).items():
             roles.setdefault(p, set()).update((element[o], element[t]) for t in targets)
     for v, w in witnesses.items():
@@ -69,6 +70,7 @@ def satisfies_system(
     (its `!=` pairs).  One shared Extensions builds each concept's
     extension and each role's successor map once per check."""
     ext = Extensions(interp)
+    decode = system.concept_table().decode
     individuals = system.individuals()
     if len({assignment.of(a) for a in individuals}) < len(individuals):
         return False
@@ -77,7 +79,7 @@ def satisfies_system(
             return False
     for o in system.objects():
         e = assignment.of(o)
-        for c in system.member_concepts(o):
+        for c in decode(system.label(o)):
             if e not in ext(c):
                 return False
         for p, targets in system.link_targets(o).items():

@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 Exit codes: 0 = SAT / true, 1 = UNSAT / false, 2 = UNKNOWN (a resource guard
-fired), 3 = input error, 4 = a --oracle-check cross-verification failed,
-5 = internal error (any other exception: one line on stderr, no traceback,
-so that a crash never reads as a verdict).
+fired), 3 = input error (a file that cannot be read or written, a parse
+error, or a `ValueError` while the input is read and checked: an unknown
+individual, a reserved name, a malformed model file), 4 = a --oracle-check
+cross-verification failed, 5 = internal error (any other exception, a
+`ValueError` from the engine included: one line on stderr, no traceback, so
+that a crash never reads as a verdict).
 Output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -21,7 +24,8 @@ from .semantics import (
 from . import services
 from .services import Verdict, instance_checks
 from .syntax import (
-    ConceptAssertion, KnowledgeBase, ParseError, parse_concept, parse_kb, render_kb,
+    FRESH_INDIVIDUAL, ConceptAssertion, KnowledgeBase, ParseError, parse_concept,
+    parse_kb, render_kb,
 )
 from .tableau import Guards, Trace
 
@@ -145,24 +149,25 @@ def _cross_check(kb: KnowledgeBase, verdict: Verdict, bound: int, stderr) -> boo
 def _goal(kb: KnowledgeBase, args) -> ConceptAssertion | None:
     """The assertion that the command's question adds to kb (None: kb
     alone), so that kb plus it is satisfiable iff the answer is SAT, or
-    false."""
-    session = services._session(kb)
+    false.  It reads the query concepts and checks the names, so it is
+    part of reading the input."""
     if args.command == "concept-sat":
-        return services._fresh_goal(session.reserved, parse_concept(args.concept))
+        return services._fresh_goal(
+            FRESH_INDIVIDUAL in kb.all_names(), parse_concept(args.concept))
     if args.command == "subsumes":
         return services._subsumption_goal(
-            session.reserved, parse_concept(args.c), parse_concept(args.d))
+            FRESH_INDIVIDUAL in kb.all_names(), parse_concept(args.c), parse_concept(args.d))
     if args.command == "instance":
         return services._instance_goal(
-            session.knows(args.a), args.a, parse_concept(args.concept))
+            args.a in kb.individuals(), args.a, parse_concept(args.concept))
     return None
 
 
-def _decide(kb: KnowledgeBase, args, stderr) -> tuple[Verdict, bool]:
+def _decide(kb: KnowledgeBase, goal: ConceptAssertion | None, args,
+            stderr) -> tuple[Verdict, bool]:
     """Run the engine on the command's question through kb's session;
     returns (verdict, oracle_ok)."""
     trace = Trace(limit=None) if args.trace_file or args.command == "trace" else None
-    goal = _goal(kb, args)
     verdict = services._decide(kb, goal, _guards(args), trace)
     if verdict.status == "unknown":
         print(GUARD_WARNING.format(guard=verdict.guard), file=stderr)
@@ -213,40 +218,54 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
         (stdout if code == 0 else stderr).write(text)
         return code
 
+    # a ValueError is an input error only while the input is read and
+    # checked; from the engine it is an internal error like any other
     try:
         kb = parse_kb(_read_text(args.kb, stdin))
         if args.command == "instances":
-            checks = instance_checks(kb, parse_concept(args.concept), _guards(args))
-            for a, truth in checks.items():
-                if truth.value:
-                    print(a, file=stdout)
-            unknowns = [a for a, truth in checks.items() if truth.value is None]
-            if unknowns:
-                print("inconclusive for: " + " ".join(unknowns), file=stderr)
-                return 2
-            return 0
-
-        if args.command == "transform":
-            stdout.write(render_kb(inclusions_to_introduction(kb)))
-            return 0
-
-        if args.command == "check-model":
-            interp = parse_interpretation(_read_text(args.model_file, stdin))
-            good = is_model(interp, kb)
-            print("ok" if good else "invalid", file=stdout)
-            return 0 if good else 1
-
-        verdict, ok = _decide(kb, args, stderr)
-        return _report(args, verdict, ok, stdout, stderr)
+            question = parse_concept(args.concept)
+        elif args.command == "check-model":
+            question = parse_interpretation(_read_text(args.model_file, stdin))
+        else:
+            question = _goal(kb, args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 3
+    try:
+        return _answer(kb, question, args, stdout, stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=stderr)
+        return 3
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=stderr)
         return 5
+
+
+def _answer(kb: KnowledgeBase, question, args, stdout, stderr) -> int:
+    """Answer the command on its read input (the query concept, the model
+    or the goal); returns the exit code."""
+    if args.command == "instances":
+        checks = instance_checks(kb, question, _guards(args))
+        for a, truth in checks.items():
+            if truth.value:
+                print(a, file=stdout)
+        unknowns = [a for a, truth in checks.items() if truth.value is None]
+        if unknowns:
+            print("inconclusive for: " + " ".join(unknowns), file=stderr)
+            return 2
+        return 0
+    if args.command == "transform":
+        stdout.write(render_kb(inclusions_to_introduction(kb)))
+        return 0
+    if args.command == "check-model":
+        good = is_model(question, kb)
+        print("ok" if good else "invalid", file=stdout)
+        return 0 if good else 1
+    verdict, ok = _decide(kb, question, args, stderr)
+    return _report(args, verdict, ok, stdout, stderr)
 
 
 def main(argv=None) -> int:

@@ -19,11 +19,12 @@ a variable the tuple (1, index) of its creation index, so individuals come
 first and variables follow in the processing order; a fresh variable is
 always ordered after every existing one.  Systems are immutable;
 rule applications build extended copies, which keeps search branches
-independent.  A system stores only indexes (label sets by object, link
-targets by source and role, sibling groups by object, global concepts),
-which the constructor, `extended` and `substituted` all build through one
-routine; the constraint set, `!=` pairs included, is derived from them on
-demand.
+independent.  A system stores only indexes over a concept table
+(`alcnr.table`): labels as id bits by object, link targets by source and
+role, sibling groups by object, global concept ids.  The constructor and
+`extended` build them through one routine, and `substituted` rewrites
+them around the merged variable; memberships and the constraint set, `!=`
+pairs included, are decoded from them on demand.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
-    Concept, ConceptAssertion, KnowledgeBase, Not, Or, Role, TOP, concept_key,
-    is_simple, render_concept, subconcepts, to_simple_form,
+    Concept, ConceptAssertion, KnowledgeBase, Not, Or, Role, TOP, is_simple,
+    render_concept, to_simple_form,
 )
+from .table import ConceptTable
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +195,32 @@ class SystemMetrics:
 class ConstraintSystem:
     """An immutable constraint set plus the next free variable index.
 
-    The set is stored only as indexes: `_labels` maps every object to its
-    concept set (empty for an object with only links or `!=` pairs), `_links`
-    maps a source to {role name: targets}, `_groups` maps an object to the
-    ids of its sibling groups (absent: none), `_globals` holds the global
-    concepts in `concept_key` order and `size` counts the constraints, each
-    `!=` pair between two members of a group included.  A derived system
-    shares with its parent every dict and set that its step does not change.
+    The set is stored only as indexes over a concept table (see
+    `alcnr.table`): `_labels` maps every object to its label, an int whose
+    bit i holds the table's concept i (0 for an object with only links or
+    `!=` pairs), `_links` maps a source to {role name: targets}, `_groups`
+    maps an object to the ids of its sibling groups (absent: none),
+    `_globals` holds the ids of the global concepts in `concept_key` order
+    and `size` counts the constraints, each `!=` pair between two members
+    of a group included.  A derived system shares with its parent its table
+    and every dict and set that its step does not change; a step that adds
+    a concept outside the table gives the derived system a grown table and
+    leaves the parent's alone.  `concept_table()` closes an open table on
+    first use and keeps the closed one, which every system derived later
+    shares.  Memberships, the constraint set, `dump` and the search's trace
+    are decoded through the table.
 
     The constructor and `extended` take `!=` constraints as `Distinct`
     pairs, each a group of two unless its objects already share a group
-    (its id is the pair itself), and as `Siblings`.
+    (its id is the pair itself), and as `Siblings`.  `extended` also takes a
+    membership as an (object, concept id) pair, which is how the search
+    adds them.
     """
 
     __slots__ = (
         "next_var_index", "kb", "size",
-        "_labels", "_links", "_groups", "_globals", "_objects",
-        "_constraints", "_witnesses",
+        "_table", "_labels", "_links", "_groups", "_globals", "_unfolding",
+        "_objects", "_constraints", "_witnesses",
     )
 
     def __init__(self, constraints: Iterable[Constraint], next_var_index: int,
@@ -217,34 +228,54 @@ class ConstraintSystem:
         self.next_var_index = next_var_index
         self.kb = kb
         self.size = 0
-        self._labels: dict[Object, frozenset[Concept]] = {}
+        self._table = ConceptTable()
+        self._labels: dict[Object, int] = {}
         self._links: dict[Object, dict[str, frozenset[Object]]] = {}
         self._groups: dict[Object, frozenset] = {}
-        self._globals: tuple[Concept, ...] = ()
+        self._globals: tuple[int, ...] = ()
+        self._unfolding: tuple | None = None
         self._objects: list[Object] = []
         self._constraints: frozenset[Constraint] | None = None
         self._witnesses: dict[Var, Var] | None = None
-        self._add(constraints)
+        self._add(constraints, own_table=True)
 
-    def _add(self, batch: Iterable[Constraint]) -> None:
+    def _add(self, batch: Iterable, own_table: bool = False) -> None:
         """Index a batch of constraints, grouped first so that each object
-        and each (object, role) costs one set union.  A changed dict or set
-        is replaced, never written: the parent may share it.  New objects
-        join the sorted object list at its end unless one sorts before its
-        last object."""
-        concepts: dict[Object, set[Concept]] = {}
+        and each (object, role) costs one union.  A changed dict or set is
+        replaced, never written: the parent may share it.  A concept new to
+        the table is given an id in it if `own_table`, else in a grown copy.
+        New objects join the sorted object list at its end unless one sorts
+        before its last object."""
+        table = self._table
+        ids = table.ids
+        gained: dict[Object, int] = {}
         targets: dict[Object, dict[str, set[Object]]] = {}
         pairs: list[tuple[Object, Object]] = []
         siblings: list[tuple[Var, ...]] = []
-        globals_: list[Concept] = []
+        globals_: list[int] = []
         for c in batch:
-            if isinstance(c, Member):
-                concepts.setdefault(c.obj, set()).add(c.concept)
-            elif isinstance(c, RoleLink):
+            kind = type(c)
+            if kind is tuple:
+                o, i = c
+                gained[o] = gained.get(o, 0) | 1 << i
+            elif kind is Member or kind is Global:
+                concept = c.concept
+                i = ids.get(concept)
+                if i is None:
+                    if own_table:
+                        i = table.intern(concept)
+                    else:
+                        table = self._table = table.grown((concept,))
+                        ids = table.ids
+                        i = ids[concept]
+                if kind is Member:
+                    o = c.obj
+                    gained[o] = gained.get(o, 0) | 1 << i
+                else:
+                    globals_.append(i)
+            elif kind is RoleLink:
                 targets.setdefault(c.source, {}).setdefault(c.role_name, set()).add(c.target)
-            elif isinstance(c, Global):
-                globals_.append(c.concept)
-            elif isinstance(c, Siblings):
+            elif kind is Siblings:
                 siblings.append(c.members)
             else:
                 pairs.append((c.first, c.second))
@@ -252,11 +283,10 @@ class ConstraintSystem:
         known = len(self._labels)
         labels = dict(self._labels)
         size = self.size
-        for o, cs in concepts.items():
-            have = labels.get(o, _EMPTY)
-            grown = concepts[o] = have.union(cs)
-            size += len(grown) - len(have)
-        labels.update(concepts)
+        for o, bits in gained.items():
+            have = labels.get(o, 0)
+            labels[o] = have | bits
+            size += (bits & ~have).bit_count()
         if targets or pairs or siblings:
             ends = set(targets)  # objects of links and groups
             if targets:
@@ -287,11 +317,13 @@ class ConstraintSystem:
                         size += 1
                     ends.update((a, b))
             for o in ends.difference(labels):
-                labels[o] = _EMPTY
+                labels[o] = 0
         if globals_:
             union = set(self._globals).union(globals_)
             size += len(union) - len(self._globals)
-            self._globals = tuple(sorted(union, key=concept_key))
+            concepts = table.concepts
+            self._globals = tuple(sorted(union, key=lambda i: concepts[i]._key))
+            self._unfolding = None
         if len(labels) > known:
             # a dict keeps insertion order, so the new objects come last
             fresh = sorted(islice(labels, known, None))
@@ -303,16 +335,14 @@ class ConstraintSystem:
         self._labels = labels
         self.size = size
 
-    def _each(self, swap=lambda o: o) -> Iterator[Constraint]:
-        """Every constraint but the `!=` pairs, rebuilt from the indexes, with
-        each object o written as swap(o)."""
-        yield from map(Global._trusted, self._globals)
-        for o, cs in self._labels.items():
-            s = swap(o)
-            yield from (Member._trusted(s, c) for c in cs)
+    def _each(self) -> Iterator[Constraint]:
+        """Every constraint but the `!=` pairs, decoded from the indexes."""
+        concepts = self._table.concepts
+        yield from (Global._trusted(concepts[i]) for i in self._globals)
+        for o, bits in self._labels.items():
+            yield from (Member._trusted(o, c) for c in self._table.decode(bits))
         for o, by_role in self._links.items():
-            s = swap(o)
-            yield from (RoleLink(s, p, swap(t)) for p, ts in by_role.items() for t in ts)
+            yield from (RoleLink(o, p, t) for p, ts in by_role.items() for t in ts)
 
     @property
     def constraints(self) -> frozenset[Constraint]:
@@ -326,6 +356,15 @@ class ConstraintSystem:
 
     # -- accessors ----------------------------------------------------------
 
+    def concept_table(self) -> ConceptTable:
+        """The system's concept table, closed: closed on first use and kept,
+        with the same ids, so that every system derived from this one
+        afterwards shares it."""
+        table = self._table
+        if not table.closed:
+            table = self._table = table.closed_copy()
+        return table
+
     def objects(self) -> list[Object]:
         return self._objects
 
@@ -335,18 +374,30 @@ class ConstraintSystem:
     def variables(self) -> list[Var]:
         return [o for o in self._objects if isinstance(o, Var)]
 
+    def unfolding(self) -> tuple[tuple[int, int, tuple[frozenset[str], ...]], ...]:
+        """Per global concept, in key order: its id and its `disjuncts` in the
+        closed table (what lazy unfolding reads).  Computed once and shared
+        with every system derived afterwards, since no rule adds a global."""
+        if self._unfolding is None:
+            table = self.concept_table()
+            self._unfolding = tuple((g, *table.disjuncts(g)) for g in self._globals)
+        return self._unfolding
+
     def global_concepts(self) -> tuple[Concept, ...]:
-        return self._globals
+        concepts = self._table.concepts
+        return tuple(concepts[i] for i in self._globals)
+
+    def label(self, o: Object) -> int:
+        """o's label as table-id bits (0 for an absent object)."""
+        return self._labels.get(o, 0)
 
     def member_concepts(self, o: Object) -> frozenset[Concept]:
         """The concept label set of an object (membership constraints only)."""
-        return self._labels.get(o, _EMPTY)
-
-    def member_concepts_sorted(self, o: Object) -> list[Concept]:
-        return sorted(self._labels.get(o, _EMPTY), key=concept_key)
+        return frozenset(self._table.decode(self._labels.get(o, 0)))
 
     def has_member(self, o: Object, c: Concept) -> bool:
-        return c in self._labels.get(o, _EMPTY)
+        i = self._table.ids.get(c)
+        return i is not None and bool(self._labels.get(o, 0) >> i & 1)
 
     def link_targets(self, o: Object) -> Mapping[str, frozenset[Object]]:
         """Role name -> the targets of o's links, read-only."""
@@ -413,9 +464,9 @@ class ConstraintSystem:
 
     def witnesses(self) -> dict[Var, Var]:
         """Every blocked variable -> its witness, in variable order, from one
-        pass that maps each label set to its first variable; cached."""
+        pass that maps each label to its first variable; cached."""
         if self._witnesses is None:
-            first: dict[frozenset[Concept], Var] = {}
+            first: dict[int, Var] = {}
             found = {}
             for v in self._objects:
                 if isinstance(v, Var):
@@ -429,40 +480,50 @@ class ConstraintSystem:
         return isinstance(x, Var) and self.witness(x) is not None
 
     def metrics(self) -> SystemMetrics:
-        concepts: set[Concept] = set()
-        for c in chain(self._globals, *self._labels.values()):
-            concepts |= subconcepts(c)
+        present = 0
+        for i in self._globals:
+            present |= 1 << i
+        for bits in self._labels.values():
+            present |= bits
         variables = self.variables()
         return SystemMetrics(
-            len(concepts), len(variables), len(variables) - len(self.witnesses())
+            self.concept_table().closure_count(present), len(variables),
+            len(variables) - len(self.witnesses()),
         )
 
     # -- derived systems ------------------------------------------------------
 
-    def extended(self, added, next_var_index: int | None = None) -> "ConstraintSystem":
-        """The system plus the `added` constraints (the search extends a
-        system once per rule application, so this is the hot path)."""
+    def _derived(self, next_var_index: int) -> "ConstraintSystem":
         child = object.__new__(ConstraintSystem)
-        child.next_var_index = (
-            self.next_var_index if next_var_index is None else next_var_index
-        )
+        child.next_var_index = next_var_index
         child.kb = self.kb
         child.size = self.size
+        child._table = self._table
         child._labels = self._labels
         child._links = self._links
         child._groups = self._groups
         child._globals = self._globals
+        child._unfolding = self._unfolding
         child._objects = self._objects
         child._constraints = None
         child._witnesses = None
+        return child
+
+    def extended(self, added, next_var_index: int | None = None) -> "ConstraintSystem":
+        """The system plus the `added` constraints (the search extends a
+        system once per rule application, so this is the hot path)."""
+        child = self._derived(
+            self.next_var_index if next_var_index is None else next_var_index
+        )
         child._add(added)
         return child
 
     def substituted(self, y: Var, t: Object) -> "ConstraintSystem":
         """S[y/t]: every occurrence of the variable y replaced by t.
 
-        t takes every group of y, which turns each pair (y, z) into (t, z);
-        the pairs t already had are counted once."""
+        t takes y's label, links and groups, and links to y go to t; each
+        pair (y, z) of a group becomes (t, z), and the pairs t already had
+        are counted once."""
         if not isinstance(y, Var):
             raise ValueError("only variables can be substituted away")
         if y == t:
@@ -471,21 +532,34 @@ class ConstraintSystem:
             raise ValueError(
                 f"cannot substitute {object_str(y)} by the separated {object_str(t)}"
             )
-        rest = list(self._each(lambda o: t if o == y else o))
-        child = ConstraintSystem(rest, self.next_var_index, self.kb)
-        # self.size - len(rest) is the number of `!=` pairs
-        child.size += self.size - len(rest)
-        groups = child._groups = self._groups
-        mine = groups.get(y)
+        child = self._derived(self.next_var_index)
+        labels = dict(self._labels)
+        labels[t] = labels.get(t, 0) | labels.pop(y, 0)
+        links: dict[Object, dict[str, frozenset[Object]]] = {}
+        for o, by_role in self._links.items():
+            s = t if o == y else o
+            mine = links.setdefault(s, {})
+            for p, ts in by_role.items():
+                if y in ts:
+                    ts = ts - {y} | {t}
+                mine[p] = mine.get(p, _EMPTY) | ts
+        pairs = self.size - len(self._globals) - sum(
+            bits.bit_count() for bits in self._labels.values()
+        ) - sum(len(ts) for by_role in self._links.values() for ts in by_role.values())
+        mine = self._groups.get(y)
         if mine:
-            child.size -= len(self.siblings(y) & self.siblings(t))
-            groups = child._groups = dict(groups)
+            pairs -= len(self.siblings(y) & self.siblings(t))
+            groups = child._groups = dict(self._groups)
             del groups[y]
             groups[t] = groups.get(t, _EMPTY) | mine
-        loose = [o for o in groups if o not in child._labels]
-        if loose:  # objects with nothing but `!=` pairs
-            child._labels.update(dict.fromkeys(loose, _EMPTY))
-            child._objects = sorted(child._labels)
+            for o in groups:
+                labels.setdefault(o, 0)  # objects with nothing but `!=` pairs
+        child._labels = labels
+        child._links = links
+        child._objects = sorted(labels)
+        child.size = len(self._globals) + pairs + sum(
+            bits.bit_count() for bits in labels.values()
+        ) + sum(len(ts) for by_role in links.values() for ts in by_role.values())
         return child
 
     def dump(self) -> str:

@@ -123,11 +123,14 @@ _UNSAT = "unsat"  # the stored decision of an inconsistent KB
 
 
 class _Session:
-    """What the services keep of one KB: its base constraint system, and its
-    decision (UNSAT, a verified model, or None while undecided).
+    """What the services keep of one KB: its base constraint system, whether
+    it uses the fresh individual's name (None until a question needs it),
+    and its decision (UNSAT, a verified model, or None while undecided).
 
     The base is translate_kb of the KB without the auxiliary individual of
-    an empty ABox, which only kb-sat needs.  It keeps `kb=None`, so nothing
+    an empty ABox, which only kb-sat needs, with its concept table closed
+    here once: a query whose goal brings no new concept shares it, and one
+    that does extends a copy.  It keeps `kb=None`, so nothing
     leads from a session back to its KB (no reference cycle), and so does
     each query's system; a completion gets the KB it decides only when its
     model is built.  Every field is written once, or again with an equal
@@ -140,8 +143,9 @@ class _Session:
         if not kb.abox:
             base = ConstraintSystem(map(Global, base.global_concepts()), 0, None)
         base.kb = None
+        base.unfolding()  # closes the table and reads the globals, once
         self.base = base
-        self.reserved = FRESH_INDIVIDUAL in kb.all_names()
+        self.reserved: bool | None = None  # set by the first fresh goal
         self.decision: Interpretation | str | None = None
 
     def knows(self, a: str) -> bool:
@@ -159,6 +163,15 @@ def _session(kb: KnowledgeBase) -> _Session:
         session = _Session(kb)
         object.__setattr__(kb, "_session", session)
     return session
+
+
+def _reserved(kb: KnowledgeBase) -> bool:
+    """Does kb use the fresh individual's name?  Read once per session, by
+    the first question that needs the fresh individual."""
+    session = _session(kb)
+    if session.reserved is None:
+        session.reserved = FRESH_INDIVIDUAL in kb.all_names()
+    return session.reserved
 
 
 def _query_system(kb: KnowledgeBase, goal: ConceptAssertion | None) -> ConstraintSystem:
@@ -268,7 +281,7 @@ def concept_satisfiable(
     guards: Guards | None = None, trace: Trace | None = None,
     self_check: bool = False,
 ) -> Verdict:
-    return _decide(kb, _fresh_goal(_session(kb).reserved, c), guards, trace, self_check)
+    return _decide(kb, _fresh_goal(_reserved(kb), c), guards, trace, self_check)
 
 
 def _true_iff_unsat(
@@ -280,7 +293,8 @@ def _true_iff_unsat(
     answers by its status alone: its completion is checked, but no model
     is built."""
     system = _query_system(kb, goal)
-    if detect_clash(system, (Ind(goal.individual),)) is not None:
+    at = Ind(goal.individual)
+    if detect_clash(system, {at: system.label(at)}) is not None:
         return TruthVerdict(True)
     result = complete(system, guards, MUTED_TRACE)
     if result.status == "resource-exceeded":
@@ -317,7 +331,7 @@ def subsumed_by(
     kb: KnowledgeBase, c: Concept, d: Concept, guards: Guards | None = None
 ) -> TruthVerdict:
     """True iff C's extension is within D's in every model of kb."""
-    return _answer(kb, _subsumption_goal(_session(kb).reserved, c, d), guards)
+    return _answer(kb, _subsumption_goal(_reserved(kb), c, d), guards)
 
 
 def instance_of(

@@ -17,9 +17,11 @@ Rules and their side conditions:
 Strategy: instances on individuals come before any on variables; variables
 are processed in creation order; per object, non-generating rules precede
 generating ones (within that, deterministic rules precede the branching
-ones).  Generating rules are suppressed on blocked variables — a variable
-with an earlier label-identical witness — which is what terminates cyclic
-TBoxes.
+ones); within a rule, concepts come in `concept_key` order.  Generating
+rules are suppressed on blocked variables — a variable with an earlier
+label-identical witness — which is what terminates cyclic TBoxes.  The
+rules and the clash test read labels as id bits of the system's concept
+table (`alcnr.table`), a kind's concepts in order of their ranks.
 
 Lazy unfolding: a disjunct of a global concept C (C's `or`s flattened) is
 vacuous at o when it is `(not A)` with A not in o's label, or `(all R D)` or
@@ -54,9 +56,9 @@ from .constraints import (
     Constraint, ConstraintSystem, Global, Ind, Member, Object, RoleLink,
     Siblings, Var, constraint_str, object_str,
 )
-from .syntax import (
-    BOTTOM, All, And, AtLeast, AtMost, Bottom, Concept, Name, Not, Or, Role,
-    Some, concept_key, is_simple, render_concept,
+from .syntax import BOTTOM, Name, Not, Role, is_simple, render_concept
+from .table import (
+    ALL, AND, ATLEAST, ATMOST, NAME, NOT, OR, SOME, ConceptTable, bit_ids,
 )
 
 # Every membership the rules build has a subconcept of a simple label or
@@ -76,13 +78,33 @@ GENERATING_RULES = frozenset({RULE_EXISTS, RULE_ATLEAST})
 BRANCHING_RULES = frozenset({RULE_OR, RULE_ATMOST})
 
 
-@dataclass(frozen=True, slots=True)
 class RuleInstance:
-    rule: str
-    target: Object
-    constraint: Constraint
-    successor: Object | None = None   # forall: the successor gaining the concept
-    choices: tuple = ()               # or: both disjuncts; atmost: (remove, keep) pairs
+    """An applicable rule instance: the rule, its target object, the table
+    id of the concept it fires on (for `global`, the global concept's),
+    and for forall the successor gaining the concept; `choices` are an
+    `or`'s two disjuncts or an `atmost`'s (remove, keep) pairs.
+    `constraint` is the premise, decoded through the table."""
+
+    __slots__ = ("rule", "target", "concept", "table", "successor", "choices")
+
+    def __init__(self, rule: str, target: Object, concept: int, table: ConceptTable,
+                 successor: Object | None = None, choices: tuple = ()):
+        self.rule = rule
+        self.target = target
+        self.concept = concept
+        self.table = table
+        self.successor = successor
+        self.choices = choices
+
+    @property
+    def constraint(self) -> Constraint:
+        c = self.table.concepts[self.concept]
+        return Global._trusted(c) if self.rule == RULE_GLOBAL else _member(self.target, c)
+
+    def __repr__(self) -> str:
+        return (f"RuleInstance(rule={self.rule!r}, target={self.target!r}, "
+                f"constraint={self.constraint!r}, successor={self.successor!r}, "
+                f"choices={self.choices!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,107 +264,85 @@ def _merge_pairs(system: ConstraintSystem, successors: list[Object]) -> tuple:
     )
 
 
-# The last globals tuple analysed, with its analysis.  No rule adds or drops
-# a global and every derived system shares its parent's tuple, so one entry
-# serves a whole search and keeps only one KB's globals alive.
-_last_unfolding: tuple = ((), ())
 
-
-def _unfolding(system: ConstraintSystem) -> tuple:
-    """Each global concept with its disjuncts that can be vacuous at an
-    object (its `or`s flattened): the names A of its `(not A)` disjuncts,
-    and the role names of each of its `(all R D)` and `(atmost n R)`
-    disjuncts."""
-    global _last_unfolding
-    key, found = _last_unfolding
-    if key is system.global_concepts():
-        return found
-    found = []
-    for g in system.global_concepts():
-        names: set[Name] = set()
-        roles: list[frozenset[str]] = []
-        todo = [g]
-        while todo:
-            c = todo.pop()
-            if isinstance(c, Or):
-                todo += (c.left, c.right)
-            elif isinstance(c, Not):
-                names.add(c.concept)
-            elif isinstance(c, (All, AtMost)):
-                roles.append(frozenset(c.role.names))
-        found.append((g, frozenset(names), tuple(roles)))
-    found = tuple(found)
-    _last_unfolding = (system.global_concepts(), found)
-    return found
-
-
-def _active_roles(system: ConstraintSystem, o: Object, members: list[Concept]) -> set[str]:
+def _active_roles(system: ConstraintSystem, o: Object, label: int, table: ConceptTable) -> set[str]:
     """The role names on which o has or may get successors: those of its
     links and of its `some` and `atleast` concepts."""
     active = set(system.link_targets(o))
-    for c in members:
-        if isinstance(c, (Some, AtLeast)):
-            active.update(c.role.names)
+    for c in bit_ids(label & (table.kinds[SOME] | table.kinds[ATLEAST])):
+        active.update(table.concepts[c].role.names)
     return active
 
 
+def _by_rank(ids: list[int], rank: tuple) -> list[int]:
+    return sorted(ids, key=rank.__getitem__) if len(ids) > 1 else ids
+
+
 def _object_instances(
-    system: ConstraintSystem, o: Object, unfolding: tuple
+    system: ConstraintSystem, o: Object, table: ConceptTable, unfolding: tuple
 ) -> Iterator[RuleInstance]:
-    members = system.member_concepts_sorted(o)
-    labels = system.member_concepts(o)
-    for c in members:
-        if isinstance(c, And) and not (
-            system.has_member(o, c.left) and system.has_member(o, c.right)
-        ):
-            yield RuleInstance(RULE_AND, o, _member(o, c))
-    for c in members:
-        if isinstance(c, All):
-            for t in system.role_successors(o, c.role):
-                if not system.has_member(t, c.concept):
-                    yield RuleInstance(RULE_FORALL, o, _member(o, c), successor=t)
+    """o's applicable instances in strategy order; within a rule, by the
+    rank of the concept (key order), then by successor."""
+    label = system.label(o)
+    kinds, parts, left, rank = table.kinds, table.parts, table.left, table.rank
+    found = label & kinds[AND]
+    if found:
+        ready = [c for c in bit_ids(found) if label & parts[c] != parts[c]]
+        for c in _by_rank(ready, rank):
+            yield RuleInstance(RULE_AND, o, c, table)
+    found = label & kinds[ALL]
+    if found:
+        for c in _by_rank(bit_ids(found), rank):
+            for t in system.role_successors(o, table.concepts[c].role):
+                if not system.label(t) >> left[c] & 1:
+                    yield RuleInstance(RULE_FORALL, o, c, table, successor=t)
     active = None
     for g, names, roles in unfolding:
-        if g in labels or not names <= labels:
+        if label >> g & 1 or label & names != names:
             continue
         if roles:
             if active is None:
-                active = _active_roles(system, o, members)
+                active = _active_roles(system, o, label, table)
             if any(active.isdisjoint(r) for r in roles):
                 continue
-        yield RuleInstance(RULE_GLOBAL, o, Global._trusted(g))
-    for c in members:
-        if isinstance(c, Or) and not (
-            system.has_member(o, c.left) or system.has_member(o, c.right)
-        ):
-            yield RuleInstance(RULE_OR, o, _member(o, c), choices=(c.left, c.right))
-    for c in members:
-        if isinstance(c, AtMost):
-            succ = system.role_successors(o, c.role)
-            if len(succ) > c.count:
+        yield RuleInstance(RULE_GLOBAL, o, g, table)
+    found = label & kinds[OR]
+    if found:
+        ready = [c for c in bit_ids(found) if not label & parts[c]]
+        concepts, right = table.concepts, table.right
+        for c in _by_rank(ready, rank):
+            yield RuleInstance(RULE_OR, o, c, table,
+                               choices=(concepts[left[c]], concepts[right[c]]))
+    found = label & kinds[ATMOST]
+    if found:
+        for c in _by_rank(bit_ids(found), rank):
+            atmost = table.concepts[c]
+            succ = system.role_successors(o, atmost.role)
+            if len(succ) > atmost.count:
                 pairs = _merge_pairs(system, succ)
                 if pairs:
-                    yield RuleInstance(RULE_ATMOST, o, _member(o, c), choices=pairs)
+                    yield RuleInstance(RULE_ATMOST, o, c, table, choices=pairs)
     if system.is_blocked(o):
         return
-    for c in members:
-        if isinstance(c, Some):
-            succ = system.role_successors(o, c.role)
-            if not any(system.has_member(t, c.concept) for t in succ):
-                yield RuleInstance(RULE_EXISTS, o, _member(o, c))
-    for c in members:
-        if isinstance(c, AtLeast):
-            succ = system.role_successors(o, c.role)
-            if not _has_separated_clique(system, succ, c.count):
-                yield RuleInstance(RULE_ATLEAST, o, _member(o, c))
+    found = label & (kinds[SOME] | kinds[ATLEAST])
+    for c in _by_rank(bit_ids(found & kinds[SOME]), rank):
+        succ = system.role_successors(o, table.concepts[c].role)
+        if not any(system.label(t) >> left[c] & 1 for t in succ):
+            yield RuleInstance(RULE_EXISTS, o, c, table)
+    for c in _by_rank(bit_ids(found & kinds[ATLEAST]), rank):
+        atleast = table.concepts[c]
+        succ = system.role_successors(o, atleast.role)
+        if not _has_separated_clique(system, succ, atleast.count):
+            yield RuleInstance(RULE_ATLEAST, o, c, table)
 
 
 def _iter_instances(system: ConstraintSystem, from_key=None) -> Iterator[RuleInstance]:
-    unfolding = _unfolding(system)
+    table = system.concept_table()
+    unfolding = system.unfolding()
     objects = system.objects()
     start = 0 if from_key is None else bisect_left(objects, from_key)
     for o in islice(objects, start, None):
-        yield from _object_instances(system, o, unfolding)
+        yield from _object_instances(system, o, table, unfolding)
 
 
 def applicable_rule_instances(system: ConstraintSystem) -> list[RuleInstance]:
@@ -368,46 +368,44 @@ def _check_applicable(system: ConstraintSystem, inst: RuleInstance) -> None:
     if isinstance(c, Member):
         present = system.has_member(c.obj, c.concept)
     else:
-        present = isinstance(c, Global) and c.concept in system.global_concepts()
+        present = c.concept in system.global_concepts()
     if not present:
         raise ValueError(f"instance not applicable: {constraint_str(c)} not in system")
 
 
 def _apply(
     system: ConstraintSystem, inst: RuleInstance, choice: int | None
-) -> tuple[ConstraintSystem, list[Constraint]]:
-    """Apply one applicable instance with a valid choice; returns the new
-    system and the added constraints (empty for the substitution rule)."""
-    o = inst.target
-    if inst.rule == RULE_AND:
-        c = inst.constraint.concept
-        added: list[Constraint] = [_member(o, c.left), _member(o, c.right)]
-        return system.extended(added), added
-    if inst.rule == RULE_OR:
-        added = [_member(o, inst.choices[choice])]
-        return system.extended(added), added
-    if inst.rule == RULE_FORALL:
-        added = [_member(inst.successor, inst.constraint.concept.concept)]
-        return system.extended(added), added
-    if inst.rule == RULE_GLOBAL:
-        added = [_member(o, inst.constraint.concept)]
-        return system.extended(added), added
-    if inst.rule == RULE_EXISTS:
-        c = inst.constraint.concept
+) -> tuple[ConstraintSystem, list]:
+    """Apply one applicable instance with a valid choice, its concept an id
+    of the system's table; returns the new system and the added
+    constraints, memberships as (object, id) pairs (empty for the
+    substitution rule)."""
+    o, c, table, rule = inst.target, inst.concept, inst.table, inst.rule
+    if rule == RULE_AND:
+        added: list = [(o, table.left[c]), (o, table.right[c])]
+    elif rule == RULE_OR:
+        added = [(o, table.right[c] if choice else table.left[c])]
+    elif rule == RULE_FORALL:
+        added = [(inst.successor, table.left[c])]
+    elif rule == RULE_GLOBAL:
+        added = [(o, c)]
+    elif rule == RULE_EXISTS:
         y = Var(system.next_var_index)
-        added = [RoleLink(o, p, y) for p in c.role.names]
-        added.append(_member(y, c.concept))
+        added = [RoleLink(o, p, y) for p in table.concepts[c].role.names]
+        added.append((y, table.left[c]))
         return system.extended(added, next_var_index=y.index + 1), added
-    if inst.rule == RULE_ATLEAST:
-        c = inst.constraint.concept
-        fresh = tuple(Var(system.next_var_index + i) for i in range(c.count))
-        added = [RoleLink(o, p, y) for y in fresh for p in c.role.names]
+    elif rule == RULE_ATLEAST:
+        k = table.concepts[c].count
+        fresh = tuple(Var(system.next_var_index + i) for i in range(k))
+        added = [RoleLink(o, p, y) for y in fresh for p in table.concepts[c].role.names]
         added.append(Siblings(fresh))
-        return system.extended(added, next_var_index=system.next_var_index + c.count), added
-    if inst.rule == RULE_ATMOST:
+        return system.extended(added, next_var_index=system.next_var_index + k), added
+    elif rule == RULE_ATMOST:
         y, t = inst.choices[choice]
         return system.substituted(y, t), []
-    raise ValueError(f"unknown rule {inst.rule!r}")
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    return system.extended(added), added
 
 
 def apply_rule_instance(
@@ -419,6 +417,11 @@ def apply_rule_instance(
     if inst.rule in BRANCHING_RULES:
         if choice is None or not 0 <= choice < len(inst.choices):
             raise ValueError(f"choice index {choice!r} out of range for {inst.rule}")
+    table = system.concept_table()
+    if inst.table is not table:  # an instance selected on another system
+        concept = inst.table.concepts[inst.concept]
+        inst = RuleInstance(inst.rule, inst.target, table.ids[concept], table,
+                            inst.successor, inst.choices)
     return _apply(system, inst, choice)[0]
 
 
@@ -431,36 +434,43 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
 
     Clash forms: o : BOTTOM; a complementary name pair on one object;
     o : (atmost n R) with n+1 pairwise-separated R-successors.  `among`
-    restricts the scan to the given objects (used by the search, which knows
-    which objects an application touched).
+    restricts the scan to the given objects.  A dict restricts it further
+    to the label concepts it maps each object to, as table-id bits, taken
+    in its own order: the search passes, in object order, what a step
+    added and the `atmost` concepts of an object that gained successors,
+    since the system the step extends has no clash.
     """
-    objects = system.objects() if among is None else sorted(among)
-    for o in objects:
-        members = system.member_concepts(o)
-        if not members:
+    table = system.concept_table()
+    label = system.label
+    if isinstance(among, dict):
+        scan = among.items()
+    else:
+        scan = [(o, label(o)) for o in (system.objects() if among is None else sorted(among))]
+    names, complement = table.kinds[NAME], table.complement
+    literals, atmosts = names | table.kinds[NOT], table.kinds[ATMOST]
+    for o, bits in scan:
+        if not bits:
             continue
-        positive: set[str] = set()
-        negated: set[str] = set()
-        atmosts = []
-        bottom = False
-        for c in members:
-            if isinstance(c, Name):
-                positive.add(c.name)
-            elif isinstance(c, Not):
-                negated.add(c.concept.name)
-            elif isinstance(c, AtMost):
-                atmosts.append(c)
-            elif isinstance(c, Bottom):
-                bottom = True
-        if bottom:
+        if bits & table.bottom:
             return ClashReport("bottom", o, "BOTTOM")
-        both = positive & negated
-        if both:
-            return ClashReport("complement", o, min(both))
-        for c in sorted(atmosts, key=concept_key):
-            succ = system.role_successors(o, c.role)
-            if len(succ) > c.count and _has_separated_clique(system, succ, c.count + 1):
-                return ClashReport("number", o, render_concept(c))
+        found = bits & literals
+        if found:
+            have, first = label(o), None
+            for c in bit_ids(found):
+                other = complement[c]
+                if other >= 0 and have >> other & 1:
+                    name = table.concepts[c if names >> c & 1 else other].name
+                    if first is None or name < first:
+                        first = name
+            if first is not None:
+                return ClashReport("complement", o, first)
+        found = bits & atmosts
+        if found:
+            for c in _by_rank(bit_ids(found), table.rank):
+                succ = system.role_successors(o, table.concepts[c].role)
+                n = table.concepts[c].count
+                if len(succ) > n and _has_separated_clique(system, succ, n + 1):
+                    return ClashReport("number", o, render_concept(table.concepts[c]))
     return None
 
 
@@ -483,40 +493,56 @@ class _Point:
         self.mark = mark            # the trail length when it was pushed
 
 
+class _Snapshots:
+    """Debug: the label of each variable on which a generating rule fired,
+    by index, and the latest such index (-1 for none).  Shared until a step
+    changes it, so that a step copies it only when it adds or drops one."""
+
+    __slots__ = ("labels", "latest")
+
+    def __init__(self, labels: dict[int, int], latest: int):
+        self.labels = labels
+        self.latest = latest
+
+
 class _Searcher:
     """The completion search.
 
-    `_deps` maps each membership (object, concept) the search adds to the
+    `_deps` maps each membership (object, concept id) the search adds to the
     mask of the choice points it depends on; `_reach` maps an object to the
     mask of its incoming links and its sibling groups (its creation, widened
     by merges).  An absent entry means 0, the mask of every input constraint.
     A membership is written only when it is new to the system its rule
     applies to, so each one in the current system carries the mask of its
     own derivation; merges widen `_reach` through a trail that a jump
-    rewinds.  Nothing is recorded while no choice point is open.
+    rewinds.  Nothing is recorded while no choice point is open.  Every
+    system of one search shares one concept table: the rules add no
+    concept outside it.
     """
 
     def __init__(self, guards: Guards, trace: Trace):
         self.guards = guards
         self.trace = trace
         self.stats = SearchStats()
-        self._deps: dict[tuple[Object, Concept], int] = {}
+        self._deps: dict[tuple[Object, int], int] = {}
         self._reach: dict[Object, int] = {}
         self._trail: list[tuple[Object, int]] = []
-        self._concepts = 0  # debug: the concept count, fixed within a search
-        self._simple: set[Concept] = set()  # debug: label concepts checked simple
+        self._table: ConceptTable | None = None
+        self._bound = 0       # debug: 2^(the concept count), fixed within a search
+        self._simple = 0      # debug: the bits of label concepts checked simple
 
     def run(self, system: ConstraintSystem) -> ConstraintSystem | None:
         clash = detect_clash(system)
         if clash is not None:
             self.trace.emit(f"clash: {clash.kind} on {object_str(clash.obj)}")
             return None
-        snapshots: dict[int, frozenset] | None = None
+        self._table = system.concept_table()
+        snapshots: _Snapshots | None = None
         if self.guards.debug_checks:
-            snapshots = {}
+            snapshots = _Snapshots({}, -1)
             # every concept a rule adds is a subconcept of one present, and a
             # merge moves labels: no step changes the count
-            self._concepts = system.metrics().concept_count
+            self._bound = 2 ** system.metrics().concept_count
         # After a clash `system` is None and `mask` holds the clash's
         # dependencies: the latest choice point in it resumes, and the search
         # fails once the mask runs out.
@@ -534,7 +560,7 @@ class _Searcher:
             else:
                 inst = first_rule_instance(system, from_key)
                 if inst is None:
-                    return self._completion(system)
+                    return self._completion(system, snapshots)
                 base, base_snapshots = system, snapshots
                 i = None
                 if inst.rule in BRANCHING_RULES:
@@ -548,23 +574,18 @@ class _Searcher:
             elif inst.rule == RULE_ATLEAST:
                 # size guards before the k variables are built; every link
                 # and each of the k(k-1)/2 sibling pairs is new, so it is exact
-                c = inst.constraint.concept
-                k = c.count
+                k = self._table.concepts[inst.concept].count
                 self._check_sizes(
                     base.next_var_index + k,
-                    base.size + k * len(c.role.names) + k * (k - 1) // 2,
+                    base.size + k * len(self._table.concepts[inst.concept].role.names) + k * (k - 1) // 2,
                 )
             nxt, added = _apply(base, inst, i)
             if self.guards.debug_checks:
                 self._check_simple(added)
             if stack:
                 self._record(base, inst, i, added, len(stack) - 1)
-            # the objects that can gain a clash or an instance: the target and
-            # those gaining a concept (new links and groups only involve the
-            # target and its fresh successors); all of them after a substitution
-            touched = None if inst.rule == RULE_ATMOST else \
-                {inst.target}.union(c.obj for c in added if isinstance(c, Member))
-            clash = self._step(nxt, added, inst, i, touched)
+            gained = self._gained(nxt, inst, added)
+            clash = self._step(nxt, added, inst, i, gained)
             if clash is not None:
                 mask = self._clash_mask(nxt, clash)
                 system = None
@@ -574,7 +595,28 @@ class _Searcher:
             # Objects before every touched one keep no instances: their labels
             # and links are unchanged, a successor's new concept only satisfies
             # forall and exists, and blocking reads earlier variables' labels.
-            from_key = None if touched is None else min(touched)
+            if gained is None:
+                from_key = None
+            elif inst.rule == RULE_FORALL:
+                from_key = min(inst.target, inst.successor)
+            else:
+                from_key = inst.target
+
+    def _gained(self, new: ConstraintSystem, inst: RuleInstance, added) -> dict | None:
+        """What one application can have brought a clash to, as `among` for
+        detect_clash: in object order, each object gaining concepts with
+        their bits, and the `atmost` concepts of the target when it gained
+        successors; None after a merge, which may clash anywhere."""
+        if inst.rule == RULE_ATMOST:
+            return None
+        gained: dict[Object, int] = {}
+        if inst.rule in GENERATING_RULES:
+            gained[inst.target] = new.label(inst.target) & self._table.kinds[ATMOST]
+        for c in added:
+            if type(c) is tuple:
+                o, i = c
+                gained[o] = gained.get(o, 0) | 1 << i
+        return gained
 
     # -- dependencies -------------------------------------------------------
 
@@ -603,25 +645,26 @@ class _Searcher:
         if rule == RULE_GLOBAL:
             mask = 0
         else:
-            o, c = inst.target, inst.constraint.concept
+            o, c = inst.target, inst.concept
             mask = deps.get((o, c), 0)
             if rule == RULE_OR:
                 mask |= 1 << level
             elif rule == RULE_FORALL:
                 mask |= self._reach.get(inst.successor, 0)
             elif rule == RULE_ATMOST:
-                mask |= 1 << level | self._successors_mask(base, o, c.role)
+                mask |= 1 << level | self._successors_mask(base, o, self._table.concepts[c].role)
                 self._merge(base, o, *inst.choices[i], mask)
                 return
         if rule == RULE_AND:
             # the one rule that can add a membership the system already holds
-            for c in added:
-                if not base.has_member(c.obj, c.concept):
-                    deps[c.obj, c.concept] = mask
+            have = base.label(inst.target)
+            for m in added:
+                if not have >> m[1] & 1:
+                    deps[m] = mask
             return
         for c in added:
-            if isinstance(c, Member):
-                deps[c.obj, c.concept] = mask
+            if type(c) is tuple:
+                deps[c] = mask
             elif isinstance(c, RoleLink):
                 # a fresh variable: the mask covers its links and its group
                 self._reach[c.target] = mask
@@ -633,10 +676,8 @@ class _Searcher:
         precedes it, and the strategy fires no rule on an object after a
         generating rule fired on a later one."""
         deps = self._deps
-        have = base.member_concepts(t)
-        for c in base.member_concepts(y):
-            if c not in have:
-                deps[t, c] = deps.get((y, c), 0) | mask
+        for c in bit_ids(base.label(y) & ~base.label(t)):
+            deps[t, c] = deps.get((y, c), 0) | mask
         # o is the only source of links to the variable y
         if any(y in ts and t not in ts for ts in base.link_targets(o).values()) or any(
             not base.separated(t, z) for z in base.siblings(y)
@@ -646,16 +687,16 @@ class _Searcher:
             self._reach[t] = old | mask
 
     def _clash_mask(self, system: ConstraintSystem, clash: ClashReport) -> int:
-        o, deps = clash.obj, self._deps
+        o, deps, table = clash.obj, self._deps, self._table
         if clash.kind == "bottom":
-            return deps.get((o, BOTTOM), 0)
+            return deps.get((o, table.ids[BOTTOM]), 0)
         if clash.kind == "complement":
             a = Name(clash.detail)
-            return deps.get((o, a), 0) | deps.get((o, Not(a)), 0)
+            return deps.get((o, table.ids[a]), 0) | deps.get((o, table.ids[Not(a)]), 0)
         mask = 0
-        for c in system.member_concepts(o):
-            if isinstance(c, AtMost) and render_concept(c) == clash.detail:
-                mask |= deps.get((o, c), 0) | self._successors_mask(system, o, c.role)
+        for c in bit_ids(system.label(o) & table.kinds[ATMOST]):
+            if render_concept(table.concepts[c]) == clash.detail:
+                mask |= deps.get((o, c), 0) | self._successors_mask(system, o, table.concepts[c].role)
         return mask
 
     def _backjump(self, stack: list[_Point], mask: int) -> _Point | None:
@@ -682,7 +723,9 @@ class _Searcher:
 
     # -- completion, guards, trace, debug invariants ------------------------
 
-    def _completion(self, system: ConstraintSystem) -> ConstraintSystem:
+    def _completion(self, system: ConstraintSystem, snapshots) -> ConstraintSystem:
+        if snapshots is not None:
+            self._audit(system, snapshots)
         for v, w in system.witnesses().items():
             if self.guards.debug_checks and system.has_successors(v):
                 raise InvariantViolation(
@@ -697,11 +740,11 @@ class _Searcher:
         if constraint_count > self.guards.max_constraints:
             raise _GuardStop("max-constraints")
 
-    def _step(self, new, added, inst, i, touched) -> ClashReport | None:
-        """Guard checks, the clash check on the touched objects, and the trace
-        line for one application; returns the clash, if any."""
+    def _step(self, new, added, inst, i, gained) -> ClashReport | None:
+        """Guard checks, the clash check on what the step touched, and the
+        trace line for one application; returns the clash, if any."""
         self._check_sizes(new.next_var_index, new.size)
-        clash = detect_clash(new, touched)
+        clash = detect_clash(new, gained)
         if self.trace.enabled:
             parts = [f"{inst.rule} on {object_str(inst.target)}: "
                      f"{constraint_str(inst.constraint)}"]
@@ -712,76 +755,114 @@ class _Searcher:
                 parts.append(f"| subst: {object_str(y)} -> {object_str(t)}")
             elif added:
                 parts.append("| added: " + ", ".join(sorted(
-                    constraint_str(d) for c in added
-                    for d in (c.pairs() if isinstance(c, Siblings) else (c,))
-                )))
+                    self._added_str(added))))
             if clash is not None:
                 parts.append(f"| clash: {clash.kind}")
             self.trace.emit(" ".join(parts))
         return clash
 
+    def _added_str(self, added) -> Iterator[str]:
+        concepts = self._table.concepts
+        for c in added:
+            if type(c) is tuple:
+                yield f"{object_str(c[0])} : {render_concept(concepts[c[1]])}"
+            elif isinstance(c, Siblings):
+                yield from map(constraint_str, c.pairs())
+            else:
+                yield constraint_str(c)
+
     def _check_simple(self, added) -> None:
         """Debug: each new label concept, once per search, is simple."""
         for c in added:
-            if isinstance(c, Member) and c.concept not in self._simple:
-                if not is_simple(c.concept):
-                    raise InvariantViolation(f"{constraint_str(c)}: not simple")
-                self._simple.add(c.concept)
+            if type(c) is tuple and not self._simple >> c[1] & 1:
+                concept = self._table.concepts[c[1]]
+                if not is_simple(concept):
+                    raise InvariantViolation(
+                        f"{object_str(c[0])} : {render_concept(concept)}: not simple")
+                self._simple |= 1 << c[1]
 
     def _checked(self, old, new, inst, snapshots):
-        """Debug-mode invariants, run after each application."""
+        """Debug-mode invariants, run after each application on what it
+        touched (every object after a merge): the constraint set grew (a
+        merge drops one object and keeps every label), no rule fired on a
+        variable before the latest one a generating rule fired on, such a
+        variable's label never changes, and at most 2^|concepts| variables
+        are unblocked."""
         if snapshots is None:
             return None
-        snapshots = dict(snapshots)
+        labels = snapshots.labels
         if inst.rule == RULE_ATMOST:
-            if len(new.objects()) >= len(old.objects()):
-                raise InvariantViolation("atmost did not shrink the object count")
-            kept = set(new.objects())
-            snapshots = {
-                idx: labels for idx, labels in snapshots.items() if Var(idx) in kept
-            }
-        elif not _grew(old, new):
-            raise InvariantViolation(f"{inst.rule} did not grow the constraint set")
-        if snapshots and isinstance(inst.target, Var):
-            if inst.target.index < max(snapshots):
-                raise InvariantViolation(
-                    f"rule applied to {object_str(inst.target)} after a generating rule "
-                    f"fired on a later variable"
-                )
-        for idx, labels in snapshots.items():
-            if new.member_concepts(Var(idx)) != labels:
-                raise InvariantViolation(f"label set of _v{idx} changed after generation")
-        if inst.rule in GENERATING_RULES and isinstance(inst.target, Var):
-            snapshots[inst.target.index] = new.member_concepts(inst.target)
-        # a variable is unblocked iff no earlier one has its label set
-        unblocked = len({new.member_concepts(v) for v in new.variables()})
-        if unblocked > 2 ** self._concepts:
+            kept = new.objects()
+            if len(kept) != len(old.objects()) - 1:
+                raise InvariantViolation("atmost did not merge one object away")
+            gone = set(old.objects()).difference(kept)
+            for o in kept:
+                if old.label(o) & ~new.label(o):
+                    raise InvariantViolation(f"atmost dropped a concept of {object_str(o)}")
+            (y,) = gone
+            if y.index in labels:
+                labels = {i: bits for i, bits in labels.items() if i != y.index}
+                snapshots = _Snapshots(labels, max(labels, default=-1))
+            touched = [Var(i) for i in labels]
+        else:
+            touched = _touched(old, new, inst)
+            if not _grew(old, new, touched):
+                raise InvariantViolation(f"{inst.rule} did not grow the constraint set")
+        if isinstance(inst.target, Var) and inst.target.index < snapshots.latest:
             raise InvariantViolation(
-                f"{unblocked} unblocked variables exceeds 2^{self._concepts}"
+                f"rule applied to {object_str(inst.target)} after a generating rule "
+                f"fired on a later variable"
             )
+        for o in touched:
+            if isinstance(o, Var) and o.index in labels and new.label(o) != labels[o.index]:
+                raise InvariantViolation(f"label set of _v{o.index} changed after generation")
+        if inst.rule in GENERATING_RULES and isinstance(inst.target, Var):
+            index = inst.target.index
+            snapshots = _Snapshots({**labels, index: new.label(inst.target)},
+                                   max(snapshots.latest, index))
+        if new.next_var_index > self._bound:
+            self._check_unblocked(new)
         return snapshots
 
+    def _check_unblocked(self, system: ConstraintSystem) -> None:
+        """Debug: a variable is unblocked iff no earlier one has its label,
+        and there are at most 2^|concepts| labels."""
+        unblocked = len({system.label(v) for v in system.variables()})
+        if unblocked > self._bound:
+            raise InvariantViolation(
+                f"{unblocked} unblocked variables exceeds {self._bound}"
+            )
 
-def _grew(old: ConstraintSystem, new: ConstraintSystem) -> bool:
-    """new.constraints > old.constraints, tested on the indexes: a larger size
-    and every global, label, group and link target of old still there.  A
-    child shares each set its step left alone, hence the `is` tests."""
-    if new.size <= old.size:
+    def _audit(self, system: ConstraintSystem, snapshots: _Snapshots) -> None:
+        """Debug: the step checks once more over the whole completion."""
+        for index, bits in snapshots.labels.items():
+            if system.label(Var(index)) != bits:
+                raise InvariantViolation(f"label set of _v{index} changed after generation")
+        self._check_unblocked(system)
+
+
+def _touched(old: ConstraintSystem, new: ConstraintSystem, inst: RuleInstance) -> list[Object]:
+    """The objects a step other than a merge can change: its target, a
+    forall's successor and the fresh variables."""
+    touched = [inst.target]
+    if inst.successor is not None:
+        touched.append(inst.successor)
+    touched += map(Var, range(old.next_var_index, new.next_var_index))
+    return touched
+
+
+def _grew(old: ConstraintSystem, new: ConstraintSystem, touched) -> bool:
+    """new.constraints > old.constraints, tested where the step can have
+    changed the indexes: a larger size, the same globals, and every label,
+    group and link target of a touched object of old still there."""
+    if new.size <= old.size or new.global_concepts() != old.global_concepts():
         return False
-    was, now = old.global_concepts(), new.global_concepts()
-    if was is not now and not set(was) <= set(now):
-        return False
-    for o in old.objects():
-        was, now = old.member_concepts(o), new.member_concepts(o)
-        if was is not now and not was <= now:
-            return False
-        was, now = old.groups_of(o), new.groups_of(o)
-        if was is not now and not was <= now:
+    for o in touched:
+        if old.label(o) & ~new.label(o) or not old.groups_of(o) <= new.groups_of(o):
             return False
         links = new.link_targets(o)
         for p, was in old.link_targets(o).items():
-            now = links.get(p, frozenset())
-            if was is not now and not was <= now:
+            if not was <= links.get(p, frozenset()):
                 return False
     return True
 

@@ -4,7 +4,7 @@ import pytest
 
 from alcnr import (
     All, Assignment, AtMost, ConceptAssertion, Guards, Interpretation, Name, Not, Some, Var,
-    complete, eval_concept, extract_model, is_model, parse_kb, role,
+    complete, concept_key, eval_concept, extract_model, is_model, parse_kb, role,
     role_pairs, satisfies_system, translate_kb,
 )
 from alcnr import semantics
@@ -120,7 +120,7 @@ def _mutants(completion, interp, assignment):
     A mutant is kept only if a fresh evaluation of the label rejects it."""
     for o in completion.objects():
         e = assignment.of(o)
-        for c in completion.member_concepts_sorted(o):
+        for c in sorted(completion.member_concepts(o), key=concept_key):
             if isinstance(c, Name):
                 mutant = _with(interp, {c.name: interp.concepts[c.name] - {e}})
             elif isinstance(c, Not):

@@ -190,6 +190,46 @@ class TestErrorsAndGuards:
         assert (code, out) == (5, "")
         assert err == "internal error: RuntimeError: engine crashed\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check-sat"], ["concept-sat", "Prof"], ["subsumes", "Student", "Prof"],
+        ["instance", "john", "Prof"], ["instances", "(not Prof)"], ["model"], ["trace"],
+    ])
+    def test_an_engine_value_error_exits_5(self, kb_file, monkeypatch, argv):
+        """A ValueError raised by the engine is an internal error, not an
+        input error: each command here reaches a SAT search, whose
+        completion the services check."""
+        from alcnr import services
+
+        def check_completion(system):
+            raise ValueError("cannot extract a model from an incomplete system")
+
+        monkeypatch.setattr(services, "check_completion", check_completion)
+        code, out, err = cli(argv[0], kb_file(EX21_TEXT), *argv[1:])
+        assert (code, out) == (5, "")
+        assert err == ("internal error: ValueError: "
+                       "cannot extract a model from an incomplete system\n")
+
+    @pytest.mark.parametrize("case", [
+        "missing-kb", "parse-error", "concept-parse-error", "unknown-individual",
+        "missing-model", "malformed-model", "unwritable-trace-file",
+    ])
+    def test_every_input_error_exits_3(self, kb_file, tmp_path, case):
+        path = kb_file(EX21_TEXT)
+        model = kb_file("not a model\n", "model.txt")
+        argv = {
+            "missing-kb": ["check-sat", str(tmp_path / "none.txt")],
+            "parse-error": ["check-sat", kb_file("(instance a", "bad.txt")],
+            "concept-parse-error": ["subsumes", path, "Student", "(or Prof"],
+            "unknown-individual": ["instance", path, "nobody", "Student"],
+            "missing-model": ["check-model", path, str(tmp_path / "none.txt")],
+            "malformed-model": ["check-model", path, model],
+            "unwritable-trace-file": ["check-sat", path, "--trace-file",
+                                      str(tmp_path / "no" / "trace.txt")],
+        }[case]
+        code, out, err = cli(*argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(("error: ", "parse error: ")) and err.count("\n") == 1
+
     def test_unknown_individual(self, kb_file):
         code, _, err = cli("instance", kb_file(EX21_TEXT), "nobody", "Student")
         assert code == 3 and "nobody" in err

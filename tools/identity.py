@@ -34,6 +34,13 @@ Families:
                 `subsumed_by`, each `instance_of` and `instances`, asked on
                 a fresh KB object, so that they meet no stored decision
                 (until `instances` makes one)
+    wide        n-ary and nested `and`, `or` and mixed forms (and one under
+                `some`) of width or depth 10, 25 and 60, as an assertion,
+                either side of an inclusion, and the goal: each KB through
+                `complete` (as the first families) and through the four
+                services (as the services family), where the goal placement
+                asks the services about the form and a short concept instead
+                of the KB's names
     parse       the candidates, heavy and fixed KBs as `render_kb` text, each
                 as it is and in two copies with one to three seeded
                 character edits (`_generators.mutate_text`), read by
@@ -74,11 +81,12 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 FIELDS = ("status", "guard", "trace", "stats", "completion", "model", "checks")
-FAMILIES = ("candidates", "heavy", "fixed", "services", "questions", "parse")
+FAMILIES = ("candidates", "heavy", "fixed", "services", "questions", "wide", "parse")
 COUNT = 2000  # inputs in each random family
 SEED = 1
 GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
 MUTANTS = 2  # edited copies of each text in the parse family
+WIDE_SIZES = (10, 25, 60)  # widths and depths of the wide family's forms
 
 
 # -- worker: runs inside one tree -------------------------------------------
@@ -97,6 +105,9 @@ def _inputs(family: str) -> list[tuple[str, object]]:
         return [(f"heavy {i}", kb) for i, kb in enumerate(tbox_heavy_kbs(SEED, COUNT))]
     if family in ("services", "questions"):
         return _inputs("candidates") + _inputs("fixed")
+    if family == "wide":
+        return [(label, (parse_kb(text), goal and (parse_concept(goal), parse_concept("A1"))))
+                for label, text, goal in _wide_texts()]
     if family == "parse":
         from alcnr import render_kb
         from _generators import mutate_text
@@ -127,6 +138,44 @@ def _inputs(family: str) -> list[tuple[str, object]]:
     for k in (2, 4, 6):
         found.append((f"clique probe {k}", clique_probe(k)))
     return found
+
+
+def _wide_forms(k: int):
+    """(shape, concept text) of the wide family at width or depth k."""
+    names = [f"A{i % 7}" if i % 5 else f"(not A{i % 3})" for i in range(k)]
+
+    def nested(ops):
+        text = names[-1]
+        for i in range(k - 2, -1, -1):
+            text = f"({ops[i % len(ops)]} {names[i]} {text})"
+        return text
+
+    yield "and-wide", "(and " + " ".join(names) + ")"
+    yield "or-wide", "(or " + " ".join(names) + ")"
+    yield "and-deep", nested(["and"])
+    yield "or-deep", nested(["or"])
+    yield "mixed", nested(["and", "or"])
+    yield "some", "(some R (and " + " ".join(names[:k // 2]) + " (or " + \
+        " ".join(names[k // 2:]) + ")))"
+
+
+def _wide_texts():
+    """(label, KB text, goal concept text or None) of the wide family."""
+    for k in WIDE_SIZES:
+        for shape, c in _wide_forms(k):
+            label = f"wide {shape} {k}"
+            yield f"{label} assertion", f"(instance a {c}) (instance a (not A4))", None
+            yield f"{label} lhs", f"(implies {c} (not A1)) (instance a A0) (instance a A1)", None
+            yield f"{label} rhs", f"(implies A0 {c}) (instance a A0) (related a b R)", None
+            yield f"{label} goal", "(instance a A0) (related a b R) (implies A1 A2)", c
+
+
+def _wide(case) -> tuple[dict, list[str]]:
+    """The wide family's row: each field as [complete's, the services']."""
+    kb, concepts = case
+    rows = _decide(kb), _ask(kb, "services", concepts)
+    row = {f: [r[0][f] for r in rows] for f in FIELDS}
+    return row, [*rows[0][1], "--", *rows[1][1]]
 
 
 def _digest(text: str) -> str:
@@ -160,9 +209,10 @@ def _decide(kb) -> tuple[dict, list[str]]:
     return row, lines
 
 
-def _ask(kb, family: str) -> tuple[dict, list[str]]:
+def _ask(kb, family: str, concepts=None) -> tuple[dict, list[str]]:
     """The services or questions family's row: each service called on one
-    KB object, a fresh one for questions."""
+    KB object, a fresh one for questions, with C and D the given concepts
+    or else the KB's first two names."""
     from alcnr import (
         Guards, KnowledgeBase, Name, Trace, TruthVerdict, concept_satisfiable,
         instance_of, instances, is_model, kb_satisfiable, render_interpretation,
@@ -172,7 +222,7 @@ def _ask(kb, family: str) -> tuple[dict, list[str]]:
     if family == "questions":
         kb = KnowledgeBase(kb.tbox, kb.abox)  # no session, so no stored decision
     guards = Guards(debug_checks=True, **GUARDS)
-    c, d = (Name(n) for n in [*sorted(kb.concept_names()), "A", "B"][:2])
+    c, d = concepts or (Name(n) for n in [*sorted(kb.concept_names()), "A", "B"][:2])
     traces = Trace(limit=None), Trace(limit=None)
     calls = [
         lambda: subsumed_by(kb, c, d, guards),
@@ -235,7 +285,7 @@ def worker(tree: str, family: str, show: int | None) -> None:
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(TESTS)]
     decide = {"services": lambda kb: _ask(kb, "services"),
               "questions": lambda kb: _ask(kb, "questions"),
-              "parse": _read}.get(family, _decide)
+              "wide": _wide, "parse": _read}.get(family, _decide)
     for i, (label, kb) in enumerate(_inputs(family)):
         if show is None:
             row, _ = decide(kb)
