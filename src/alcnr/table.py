@@ -50,11 +50,12 @@ class ConceptTable:
     and `parts`, their bits (a restriction's role and count are read off
     its concept); `complement`, the id of `(not A)` for a name A and of A
     for `(not A)`, or -1; and `rank`.  `kinds[k]` has the bits of every id
-    of kind k; `bottom` is BOTTOM's bit, or 0."""
+    of kind k; `paired`, those of every id with a complement; `bottom` is
+    BOTTOM's bit, or 0."""
 
     __slots__ = (
         "concepts", "ids", "closed", "left", "right", "parts", "complement",
-        "rank", "kinds", "bottom",
+        "rank", "kinds", "paired", "bottom",
     )
 
     def __init__(self, concepts=()):
@@ -115,6 +116,7 @@ class ConceptTable:
             t.left, t.right = list(self.left), list(self.right)
             t.parts, t.complement = list(self.parts), list(self.complement)
             t.kinds, t.bottom, t.rank = list(self.kinds), self.bottom, self.rank
+            t.paired = self.paired
         return t
 
     def grown(self, concepts) -> "ConceptTable":
@@ -147,7 +149,7 @@ class ConceptTable:
         t = self._copy(True)
         n = len(t.concepts)
         t.left, t.right, t.parts, t.complement = [-1] * n, [-1] * n, [0] * n, [-1] * n
-        t.kinds, t.bottom = [0] * 10, 0
+        t.kinds, t.paired, t.bottom = [0] * 10, 0, 0
         flat = [None] * n
         for c in self.concepts:
             t._id(c, flat)
@@ -197,4 +199,5 @@ class ConceptTable:
             self.bottom = 1 << i
         elif tag == NOT and self.kinds[NAME] >> left & 1:
             self.complement[i], self.complement[left] = left, i
+            self.paired |= 1 << i | 1 << left
         return i

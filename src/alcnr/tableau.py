@@ -58,7 +58,7 @@ from .constraints import (
 )
 from .syntax import BOTTOM, Name, Not, Role, is_simple, render_concept
 from .table import (
-    ALL, AND, ATLEAST, ATMOST, NAME, NOT, OR, SOME, ConceptTable, bit_ids,
+    ALL, AND, ATLEAST, ATMOST, NAME, OR, SOME, ConceptTable, bit_ids,
 )
 
 # Every membership the rules build has a subconcept of a simple label or
@@ -446,19 +446,23 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
         scan = among.items()
     else:
         scan = [(o, label(o)) for o in (system.objects() if among is None else sorted(among))]
-    names, complement = table.kinds[NAME], table.complement
-    literals, atmosts = names | table.kinds[NOT], table.kinds[ATMOST]
+    names, complement, paired = table.kinds[NAME], table.complement, table.paired
+    atmosts = table.kinds[ATMOST]
     for o, bits in scan:
         if not bits:
             continue
         if bits & table.bottom:
             return ClashReport("bottom", o, "BOTTOM")
-        found = bits & literals
+        found = bits & paired
         if found:
             have, first = label(o), None
-            for c in bit_ids(found):
+            while found:  # a pair found from one end is not looked up from the other
+                low = found & -found
+                found ^= low
+                c = low.bit_length() - 1
                 other = complement[c]
-                if other >= 0 and have >> other & 1:
+                if have >> other & 1:
+                    found &= ~(1 << other)
                     name = table.concepts[c if names >> c & 1 else other].name
                     if first is None or name < first:
                         first = name

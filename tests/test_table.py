@@ -52,6 +52,19 @@ class TestRanks:
             assert list(grown.concepts[:len(table.concepts)]) == list(table.concepts)
             assert _in_rank_order(grown) == _in_key_order(grown)
 
+    def test_complements_pair_each_name_with_its_negation(self):
+        rng = random.Random(6)
+        for kb in random_kbs(seed=43, count=80):
+            table = translate_kb(kb).concept_table()
+            grown = table.grown([to_simple_form(random_concept(rng, 3)) for _ in range(3)])
+            for t in (table, grown):
+                ids = t.ids
+                want = {ids[c]: ids[c.concept] for c in t.concepts
+                        if isinstance(c, Not) and isinstance(c.concept, Name)}
+                want.update({n: c for c, n in want.items()})
+                assert {i: o for i, o in enumerate(t.complement) if o >= 0} == want
+                assert t.paired == sum(1 << i for i in want)
+
     def test_deep_chains_rank_in_key_order(self):
         chain = Name("B")
         for i in range(200):
