@@ -169,6 +169,7 @@ Constraint = Member | RoleLink | Global | Distinct
 
 _EMPTY: frozenset = frozenset()
 _NO_LINKS: Mapping = MappingProxyType({})
+_NO_CONCEPTS = ConceptTable()
 
 
 def constraint_str(c: Constraint) -> str:
@@ -228,7 +229,7 @@ class ConstraintSystem:
         self.next_var_index = next_var_index
         self.kb = kb
         self.size = 0
-        self._table = ConceptTable()
+        self._table = _NO_CONCEPTS
         self._labels: dict[Object, int] = {}
         self._links: dict[Object, dict[str, frozenset[Object]]] = {}
         self._groups: dict[Object, frozenset] = {}
@@ -237,18 +238,17 @@ class ConstraintSystem:
         self._objects: list[Object] = []
         self._constraints: frozenset[Constraint] | None = None
         self._witnesses: dict[Var, Var] | None = None
-        self._add(constraints, own_table=True)
+        self._add(constraints)
 
-    def _add(self, batch: Iterable, own_table: bool = False) -> None:
+    def _add(self, batch: Iterable) -> None:
         """Index a batch of constraints, grouped first so that each object
         and each (object, role) costs one union.  A changed dict or set is
-        replaced, never written: the parent may share it.  A concept new to
-        the table is given an id in it if `own_table`, else in a grown copy.
-        New objects join the sorted object list at its end unless one sorts
-        before its last object."""
-        table = self._table
-        ids = table.ids
+        replaced, never written: the parent may share it, and the table
+        too: if the batch has a concept new to the table, its concepts are
+        given ids in one grown copy.  New objects join the sorted object
+        list at its end unless one sorts before its last object."""
         gained: dict[Object, int] = {}
+        members: list[Member | Global] = []
         targets: dict[Object, dict[str, set[Object]]] = {}
         pairs: list[tuple[Object, Object]] = []
         siblings: list[tuple[Var, ...]] = []
@@ -259,26 +259,25 @@ class ConstraintSystem:
                 o, i = c
                 gained[o] = gained.get(o, 0) | 1 << i
             elif kind is Member or kind is Global:
-                concept = c.concept
-                i = ids.get(concept)
-                if i is None:
-                    if own_table:
-                        i = table.intern(concept)
-                    else:
-                        table = self._table = table.grown((concept,))
-                        ids = table.ids
-                        i = ids[concept]
-                if kind is Member:
-                    o = c.obj
-                    gained[o] = gained.get(o, 0) | 1 << i
-                else:
-                    globals_.append(i)
+                members.append(c)
             elif kind is RoleLink:
                 targets.setdefault(c.source, {}).setdefault(c.role_name, set()).add(c.target)
             elif kind is Siblings:
                 siblings.append(c.members)
             else:
                 pairs.append((c.first, c.second))
+        table = self._table
+        ids = table.ids
+        for c in members:
+            if c.concept not in ids:
+                table = self._table = table.grown([m.concept for m in members])
+                ids = table.ids
+                break
+        for c in members:
+            if type(c) is Member:
+                gained[c.obj] = gained.get(c.obj, 0) | 1 << ids[c.concept]
+            else:
+                globals_.append(ids[c.concept])
 
         known = len(self._labels)
         labels = dict(self._labels)

@@ -12,9 +12,10 @@ A table starts open, holding only the concepts a system was built from
 subconcept of its concepts has an id, and each id is described by what the
 rules and the clash test read (its kind, the ids of its parts, the id of
 its complement) and by its rank, its position in `concept_key` order.
-Iterating ids by rank is key order; a closed table's ranks come from each
-concept's flat key, its key written out in prefix order, which compares in
-time linear in its depth where nested key tuples take quadratic time.
+Iterating ids by rank is key order.  Every closed table, closed or grown,
+is finished by one step that ranks all its ids by flat keys, each
+concept's key written out in prefix order, which compare in time linear in
+depth where nested key tuples take quadratic time.
 
 A table is never changed once a system holds it, so systems share it freely
 (across threads too); the search, each step of which derives a system from
@@ -22,8 +23,6 @@ the last, adds no concept and so keeps one table.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .syntax import Concept
 
@@ -68,7 +67,7 @@ class ConceptTable:
 
     def intern(self, c: Concept) -> int:
         """c's id, given one if it is new: only for a table no system holds
-        yet, or that only the system building it holds."""
+        yet."""
         i = self.ids.get(c)
         if i is None:
             i = self.ids[c] = len(self.concepts)
@@ -109,59 +108,53 @@ class ConceptTable:
     # -- new tables -----------------------------------------------------------
 
     def _copy(self, closed: bool) -> "ConceptTable":
-        """A copy to build on, in lists."""
+        """A copy to build on, in lists, closed if `closed`."""
         t = object.__new__(ConceptTable)
         t.concepts, t.ids, t.closed = list(self.concepts), dict(self.ids), closed
+        n = len(self.concepts)
         if self.closed:
             t.left, t.right = list(self.left), list(self.right)
             t.parts, t.complement = list(self.parts), list(self.complement)
-            t.kinds, t.bottom, t.rank = list(self.kinds), self.bottom, self.rank
-            t.paired = self.paired
+            t.kinds, t.paired, t.bottom = list(self.kinds), self.paired, self.bottom
+        elif closed:
+            t.left, t.right, t.parts, t.complement = [-1] * n, [-1] * n, [0] * n, [-1] * n
+            t.kinds, t.paired, t.bottom = [0] * 10, 0, 0
         return t
 
     def grown(self, concepts) -> "ConceptTable":
-        """A new table: this one plus the given concepts, closed under
-        subconcepts and described if this one is closed.  A new concept's
-        rank comes from a binary search by key among the old ones, whose
-        order stays."""
-        t = self._copy(self.closed)
-        if not t.closed:
-            for c in concepts:
-                t.intern(c)
-            return t
-        known = len(t.concepts)
-        for c in concepts:
-            t._id(c, None)
-        if len(t.concepts) > known:
-            keys = t.concepts
-            order = sorted(range(known), key=t.rank.__getitem__)
-            for i in range(known, len(keys)):
-                order.insert(bisect_left(order, keys[i]._key, key=lambda j: keys[j]._key), i)
-            t.rank = sorted(range(len(order)), key=order.__getitem__)
-        return t
+        """A new table: this one plus the given concepts, a whole batch in
+        one copy, closed under subconcepts if this one is closed."""
+        return self._copy(self.closed)._finished(concepts)
 
     def closed_copy(self) -> "ConceptTable":
         """A closed table with this one's ids, and new ids for the
-        subconcepts it lacks.  The ranks come from flat keys, built for it
-        and dropped.  Its arrays are tuples: smaller, read-only, and, but
-        for `concepts`, of ints only, which the garbage collector stops
-        tracking."""
-        t = self._copy(True)
-        n = len(t.concepts)
-        t.left, t.right, t.parts, t.complement = [-1] * n, [-1] * n, [0] * n, [-1] * n
-        t.kinds, t.paired, t.bottom = [0] * 10, 0, 0
-        flat = [None] * n
-        for c in self.concepts:
-            t._id(c, flat)
-        order = sorted(range(len(flat)), key=flat.__getitem__)
-        t.rank = tuple(sorted(range(len(flat)), key=order.__getitem__))
-        t.concepts, t.left, t.right = tuple(t.concepts), tuple(t.left), tuple(t.right)
-        t.parts, t.complement, t.kinds = tuple(t.parts), tuple(t.complement), tuple(t.kinds)
-        return t
+        subconcepts it lacks."""
+        return self._copy(True)._finished(self.concepts)
 
-    def _id(self, c: Concept, flat: list | None) -> int:
-        """c's id in a closed table being built, c and its parts described
-        (with their flat keys, when `flat` is given)."""
+    def _finished(self, concepts) -> "ConceptTable":
+        """This copy, being built, with the given concepts; a closed one goes
+        through the step that finishes every closed table: ids ranked by
+        flat keys, built for it and dropped, and arrays frozen as tuples:
+        smaller, read-only, and, but for `concepts`, of ints only, which the
+        garbage collector stops tracking."""
+        if not self.closed:
+            for c in concepts:
+                self.intern(c)
+            return self
+        for c in concepts:
+            self._id(c)
+        flat = [None] * len(self.concepts)
+        for i in range(len(flat)):
+            if flat[i] is None:
+                _flat_key(self, i, flat)
+        order = sorted(range(len(flat)), key=flat.__getitem__)
+        self.rank = tuple(sorted(range(len(flat)), key=order.__getitem__))
+        self.concepts, self.left, self.right = map(tuple, (self.concepts, self.left, self.right))
+        self.parts, self.complement, self.kinds = map(tuple, (self.parts, self.complement, self.kinds))
+        return self
+
+    def _id(self, c: Concept) -> int:
+        """c's id in a closed table being built, c and its parts described."""
         key = c._key
         tag = key[0]
         i = self.ids.get(c)
@@ -169,31 +162,20 @@ class ConceptTable:
             return i
         left = right = -1
         parts = 0
-        f = None
         if tag == AND or tag == OR:
-            left, right = self._id(c.left, flat), self._id(c.right, flat)
+            left, right = self._id(c.left), self._id(c.right)
             parts = 1 << left | 1 << right
-            if flat is not None:
-                f = (tag,) + flat[left] + flat[right]
         elif tag == NOT or tag == ALL or tag == SOME:
-            left = self._id(c.concept, flat)
+            left = self._id(c.concept)
             parts = 1 << left
-            if flat is not None:
-                f = (NOT,) + flat[left] if tag == NOT else (tag, key[1]) + flat[left]
-        else:  # a name, TOP, BOTTOM or a number restriction: its key is flat
-            f = key
         if i is None:
             i = self.intern(c)
             self.left.append(left)
             self.right.append(right)
             self.parts.append(parts)
             self.complement.append(-1)
-            if flat is not None:
-                flat.append(f)
         else:
             self.left[i], self.right[i], self.parts[i] = left, right, parts
-            if flat is not None:
-                flat[i] = f
         self.kinds[tag] |= 1 << i
         if tag == BOTTOM:
             self.bottom = 1 << i
@@ -201,3 +183,18 @@ class ConceptTable:
             self.complement[i], self.complement[left] = left, i
             self.paired |= 1 << i | 1 << left
         return i
+
+
+def _flat_key(table: ConceptTable, i: int, flat: list) -> tuple:
+    """Concept i's flat key, its key written out in prefix order, kept in
+    `flat` with those of its parts (a module function: no closure refers to
+    itself).  A name, TOP, BOTTOM or number restriction's key is flat."""
+    key = f = table.concepts[i]._key
+    left, right = table.left[i], table.right[i]
+    if left >= 0:
+        f = key[:2] if key[0] == ALL or key[0] == SOME else key[:1]
+        f += flat[left] or _flat_key(table, left, flat)
+        if right >= 0:
+            f += flat[right] or _flat_key(table, right, flat)
+    flat[i] = f
+    return f

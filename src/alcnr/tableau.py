@@ -56,7 +56,7 @@ from .constraints import (
     Constraint, ConstraintSystem, Global, Ind, Member, Object, RoleLink,
     Siblings, Var, constraint_str, object_str,
 )
-from .syntax import BOTTOM, Name, Not, Role, is_simple, render_concept
+from .syntax import Role, is_simple, render_concept
 from .table import (
     ALL, AND, ATLEAST, ATMOST, NAME, OR, SOME, ConceptTable, bit_ids,
 )
@@ -112,6 +112,8 @@ class ClashReport:
     kind: str       # "bottom" | "complement" | "number"
     obj: Object
     detail: str
+    # the clashing concepts' id bits in the system's table
+    bits: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -452,7 +454,7 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
         if not bits:
             continue
         if bits & table.bottom:
-            return ClashReport("bottom", o, "BOTTOM")
+            return ClashReport("bottom", o, "BOTTOM", table.bottom)
         found = bits & paired
         if found:
             have, first = label(o), None
@@ -465,16 +467,16 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
                     found &= ~(1 << other)
                     name = table.concepts[c if names >> c & 1 else other].name
                     if first is None or name < first:
-                        first = name
+                        first, pair = name, low | 1 << other
             if first is not None:
-                return ClashReport("complement", o, first)
+                return ClashReport("complement", o, first, pair)
         found = bits & atmosts
         if found:
             for c in _by_rank(bit_ids(found), table.rank):
                 succ = system.role_successors(o, table.concepts[c].role)
                 n = table.concepts[c].count
                 if len(succ) > n and _has_separated_clique(system, succ, n + 1):
-                    return ClashReport("number", o, render_concept(table.concepts[c]))
+                    return ClashReport("number", o, render_concept(table.concepts[c]), 1 << c)
     return None
 
 
@@ -691,16 +693,12 @@ class _Searcher:
             self._reach[t] = old | mask
 
     def _clash_mask(self, system: ConstraintSystem, clash: ClashReport) -> int:
-        o, deps, table = clash.obj, self._deps, self._table
-        if clash.kind == "bottom":
-            return deps.get((o, table.ids[BOTTOM]), 0)
-        if clash.kind == "complement":
-            a = Name(clash.detail)
-            return deps.get((o, table.ids[a]), 0) | deps.get((o, table.ids[Not(a)]), 0)
+        o, deps = clash.obj, self._deps
         mask = 0
-        for c in bit_ids(system.label(o) & table.kinds[ATMOST]):
-            if render_concept(table.concepts[c]) == clash.detail:
-                mask |= deps.get((o, c), 0) | self._successors_mask(system, o, table.concepts[c].role)
+        for c in bit_ids(clash.bits):
+            mask |= deps.get((o, c), 0)
+        if clash.kind == "number":
+            mask |= self._successors_mask(system, o, self._table.concepts[c].role)
         return mask
 
     def _backjump(self, stack: list[_Point], mask: int) -> _Point | None:

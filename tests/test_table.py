@@ -36,6 +36,16 @@ def _in_key_order(table):
     return sorted(range(len(table.concepts)), key=lambda i: concept_key(table.concepts[i]))
 
 
+def _deep_chain(depth):
+    chain = Name("B")
+    for i in range(depth):
+        chain = And(Name(f"A{i % 3}"), chain) if i % 2 else Or(chain, Not(Name("B")))
+    return chain
+
+
+_ARRAYS = ("concepts", "left", "right", "parts", "complement", "rank", "kinds")
+
+
 class TestRanks:
     def test_rank_order_is_key_order_on_the_random_suite(self):
         for kb in random_kbs(seed=41, count=150):
@@ -46,9 +56,14 @@ class TestRanks:
 
     def test_a_grown_table_keeps_key_order(self):
         rng = random.Random(5)
-        for kb in random_kbs(seed=42, count=80):
-            table = translate_kb(kb).concept_table()
-            grown = table.grown([to_simple_form(random_concept(rng, 3)) for _ in range(3)])
+        cases = [
+            (translate_kb(kb).concept_table(),
+             [to_simple_form(random_concept(rng, 3)) for _ in range(3)])
+            for kb in random_kbs(seed=42, count=80)
+        ]
+        cases.append((translate_kb(parse_kb(EX21_TEXT)).concept_table(), [_deep_chain(200)]))
+        for table, new in cases:
+            grown = table.grown(new)
             assert list(grown.concepts[:len(table.concepts)]) == list(table.concepts)
             assert _in_rank_order(grown) == _in_key_order(grown)
 
@@ -66,9 +81,7 @@ class TestRanks:
                 assert t.paired == sum(1 << i for i in want)
 
     def test_deep_chains_rank_in_key_order(self):
-        chain = Name("B")
-        for i in range(200):
-            chain = And(Name(f"A{i % 3}"), chain) if i % 2 else Or(chain, Not(Name("B")))
+        chain = _deep_chain(200)
         table = ConceptTable([chain]).closed_copy()
         assert len(table.concepts) == len(subconcepts(chain))
         assert _in_rank_order(table) == _in_key_order(table)
@@ -108,6 +121,26 @@ class TestGrowth:
             assert parent.member_concepts(o) <= child.member_concepts(o)
         assert child.member_concepts(Ind("john")) == \
             parent.member_concepts(Ind("john")) | {new}
+
+    def test_a_grown_closed_table_holds_tuples_as_a_closed_one_does(self):
+        table = translate_kb(parse_kb(EX21_TEXT)).concept_table()
+        grown = table.grown([And(Name("Student"), Not(Name("Visitor")))])
+        assert grown.closed and len(grown.concepts) > len(table.concepts)
+        for t in (table, grown):
+            assert all(type(getattr(t, a)) is tuple for a in _ARRAYS)
+
+    def test_a_batch_of_new_concepts_grows_the_table_once(self, monkeypatch):
+        parent = translate_kb(parse_kb(EX21_TEXT))
+        table = parent.concept_table()
+        calls = []
+        grown = ConceptTable.grown
+        monkeypatch.setattr(ConceptTable, "grown",
+                            lambda self, concepts: calls.append(1) or grown(self, concepts))
+        new = [Name(f"Fresh{i}") for i in range(3)]
+        child = parent.extended([Member(Ind("john"), c) for c in new])
+        assert len(calls) == 1
+        assert all(c not in table.ids and c in child.concept_table().ids for c in new)
+        assert child.member_concepts(Ind("john")) == parent.member_concepts(Ind("john")) | set(new)
 
     def test_a_known_concept_shares_the_table(self):
         parent = translate_kb(parse_kb(EX21_TEXT))
@@ -166,19 +199,30 @@ def _wide(k: int) -> str:
     "(or A " * 254 + "B" + ")" * 254,
 ], ids=["255-wide-and", "255-deep-and", "255-deep-or"])
 def test_wide_and_deep_concepts_decide_in_every_command(kb_file, concept):
-    """At the nesting limit each decision command decides at once: no step
-    sorts a label, and the table ranks by flat keys."""
+    """At the nesting limit each decision command decides at once, with the
+    form in the KB and as the query concept: no step sorts a label, and
+    every closed table, the KB's and each one grown by a query, ranks by
+    flat keys."""
     import time
 
     path = kb_file(f"(instance a {concept})")
     first = "A0" if concept.startswith("(and A0") else "A"
+    is_or = concept.startswith("(or")
     for argv, want in (
         (["check-sat", path], 0), (["concept-sat", path, first], 0),
-        (["subsumes", path, first, "B"], 1), (["instance", path, "a", first],
-                                             1 if concept.startswith("(or") else 0),
+        (["subsumes", path, first, "B"], 1), (["instance", path, "a", first], int(is_or)),
         (["instances", path, first], 0), (["model", path], 0), (["trace", path], 0),
     ):
         start = time.perf_counter()
         code, _, err = cli(*argv)
         assert (code, err) == (want, ""), argv
         assert time.perf_counter() - start < 10, argv
+    path = kb_file("(instance a B)", "query.txt")
+    start = time.perf_counter()
+    for argv, want in (
+        (["concept-sat", path, concept], 0), (["subsumes", path, concept, first], int(is_or)),
+        (["instance", path, "a", concept], int(not is_or)),
+    ):
+        code, _, err = cli(*argv)
+        assert (code, err) == (want, ""), argv
+    assert time.perf_counter() - start < 0.5

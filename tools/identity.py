@@ -36,11 +36,13 @@ Families:
                 (until `instances` makes one)
     wide        n-ary and nested `and`, `or` and mixed forms (and one under
                 `some`) of width or depth 10, 25 and 60, as an assertion,
-                either side of an inclusion, and the goal: each KB through
-                `complete` (as the first families) and through the four
-                services (as the services family), where the goal placement
-                asks the services about the form and a short concept instead
-                of the KB's names
+                either side of an inclusion, and the goal, and the nested
+                forms of depth 250 as the goal: each KB through `complete`
+                (as the first families) and through the four services (as
+                the services family), where the goal placement asks the
+                services about the form and a short concept instead of the
+                KB's names, so that a query grows the KB's concept table by
+                the form
     parse       the candidates, heavy and fixed KBs as `render_kb` text, each
                 as it is and in two copies with one to three seeded
                 character edits (`_generators.mutate_text`), read by
@@ -87,6 +89,8 @@ SEED = 1
 GUARDS = dict(max_variables=60, max_constraints=4000, max_branches=1500)
 MUTANTS = 2  # edited copies of each text in the parse family
 WIDE_SIZES = (10, 25, 60)  # widths and depths of the wide family's forms
+DEEP_GOAL = 250  # the depth of the wide family's deep goals
+GOAL_KB = "(instance a A0) (related a b R) (implies A1 A2)"
 
 
 # -- worker: runs inside one tree -------------------------------------------
@@ -167,7 +171,10 @@ def _wide_texts():
             yield f"{label} assertion", f"(instance a {c}) (instance a (not A4))", None
             yield f"{label} lhs", f"(implies {c} (not A1)) (instance a A0) (instance a A1)", None
             yield f"{label} rhs", f"(implies A0 {c}) (instance a A0) (related a b R)", None
-            yield f"{label} goal", "(instance a A0) (related a b R) (implies A1 A2)", c
+            yield f"{label} goal", GOAL_KB, c
+    for shape, c in _wide_forms(DEEP_GOAL):
+        if shape in ("and-deep", "or-deep", "mixed"):
+            yield f"wide {shape} {DEEP_GOAL} goal", GOAL_KB, c
 
 
 def _wide(case) -> tuple[dict, list[str]]:
