@@ -203,10 +203,12 @@ class ConstraintSystem:
     maps an object to the ids of its sibling groups (absent: none),
     `_globals` holds the ids of the global concepts in `concept_key` order
     and `size` counts the constraints, each `!=` pair between two members
-    of a group included.  A derived system shares with its parent its table
-    and every dict and set that its step does not change; a step that adds
-    a concept outside the table gives the derived system a grown table and
-    leaves the parent's alone.  `concept_table()` closes an open table on
+    of a group included (the paper's count); `stored` counts what the
+    indexes hold, which the search's guards charge: the constraints but
+    the `!=` pairs, and one per sibling group.  A derived system shares
+    with its parent its table and every dict and set that its step does
+    not change; a step that adds a concept outside the table gives the
+    derived system a grown table and leaves the parent's alone.  `concept_table()` closes an open table on
     first use and keeps the closed one, which every system derived later
     shares.  Memberships, the constraint set, `dump` and the search's trace
     are decoded through the table.
@@ -219,7 +221,7 @@ class ConstraintSystem:
     """
 
     __slots__ = (
-        "next_var_index", "kb", "size",
+        "next_var_index", "kb", "size", "stored",
         "_table", "_labels", "_links", "_groups", "_globals", "_unfolding",
         "_objects", "_constraints", "_witnesses",
     )
@@ -228,7 +230,7 @@ class ConstraintSystem:
                  kb: KnowledgeBase):
         self.next_var_index = next_var_index
         self.kb = kb
-        self.size = 0
+        self.size = self.stored = 0
         self._table = _NO_CONCEPTS
         self._labels: dict[Object, int] = {}
         self._links: dict[Object, dict[str, frozenset[Object]]] = {}
@@ -286,6 +288,7 @@ class ConstraintSystem:
             have = labels.get(o, 0)
             labels[o] = have | bits
             size += (bits & ~have).bit_count()
+        grouped = 0  # what `stored` counts for new sibling groups less what `size` does
         if targets or pairs or siblings:
             ends = set(targets)  # objects of links and groups
             if targets:
@@ -306,7 +309,9 @@ class ConstraintSystem:
                 for members in siblings:
                     # fresh variables share no group yet: every pair is new
                     groups.update(dict.fromkeys(members, frozenset({members[0].index})))
-                    size += len(members) * (len(members) - 1) // 2
+                    pairs_in = len(members) * (len(members) - 1) // 2
+                    size += pairs_in
+                    grouped += 1 - pairs_in
                     ends.update(members)
                 for a, b in pairs:
                     was_a, was_b = groups.get(a, _EMPTY), groups.get(b, _EMPTY)
@@ -332,6 +337,7 @@ class ConstraintSystem:
             else:
                 self._objects = objects + fresh
         self._labels = labels
+        self.stored += size - self.size + grouped
         self.size = size
 
     def _each(self) -> Iterator[Constraint]:
@@ -497,6 +503,7 @@ class ConstraintSystem:
         child.next_var_index = next_var_index
         child.kb = self.kb
         child.size = self.size
+        child.stored = self.stored
         child._table = self._table
         child._labels = self._labels
         child._links = self._links
@@ -542,9 +549,13 @@ class ConstraintSystem:
                 if y in ts:
                     ts = ts - {y} | {t}
                 mine[p] = mine.get(p, _EMPTY) | ts
+        # the `!=` pairs are what `size` counts beyond the other constraints,
+        # and the groups what `stored` counts beyond them; a merge keeps
+        # every group
         pairs = self.size - len(self._globals) - sum(
             bits.bit_count() for bits in self._labels.values()
         ) - sum(len(ts) for by_role in self._links.values() for ts in by_role.values())
+        groups_count = self.stored - self.size + pairs
         mine = self._groups.get(y)
         if mine:
             pairs -= len(self.siblings(y) & self.siblings(t))
@@ -556,9 +567,11 @@ class ConstraintSystem:
         child._labels = labels
         child._links = links
         child._objects = sorted(labels)
-        child.size = len(self._globals) + pairs + sum(
+        rest = len(self._globals) + sum(
             bits.bit_count() for bits in labels.values()
         ) + sum(len(ts) for by_role in links.values() for ts in by_role.values())
+        child.size = rest + pairs
+        child.stored = rest + groups_count
         return child
 
     def dump(self) -> str:

@@ -10,20 +10,26 @@ assertion to the KB and ask whether the result has a model:
 where b is the reserved fresh individual (the parser rejects it in user
 input).  Resource-guard exhaustion surfaces as UNKNOWN rather than a guess.
 
-A KB object keeps one session, made by its first query: its constraint
-system, translated once, to which each query adds one membership; and,
-once a call has decided the KB itself, that decision (UNSAT, or SAT with a
-model that passed the self-check).  An inconsistent KB entails everything,
-and a model of the KB that satisfies a question's added assertion refutes
-the question, so `instance_of` and `subsumed_by` answer such questions
-without a search; for an individual, the model is read at its element
-alone.  Otherwise a clash at the goal's object in the extended system
-answers True with no search, and a search answers by its status: a SAT
-completion passes canonical.check_completion, but no model is built.  So
-the cost of a truth question outside the search follows its goal, not the
-KB.  `kb_satisfiable` and `concept_satisfiable` always search: their
-verdicts carry the trace and the model of their own run, the model built
-on its first read unless the self-check built and checked it.
+A KB object keeps one session, made by its first query: its base
+constraint system, translated once, to which a query that searches adds
+one membership; and, once a call has decided the KB itself, that decision
+(UNSAT, or SAT with a model that passed the self-check).
+
+A truth question (`instance_of`, `subsumed_by`, and each instance check of
+`instances`) takes its steps cheapest first.  The pre-search step looks
+the goal up in the base's closed concept table and runs the clash test on
+the base's label at the goal's object with the goal's bit added: a clash
+answers True, with no query system, no copy of the base's labels and no
+table growth.  Then the stored decision: an inconsistent KB entails
+everything, and a model of the KB that satisfies the goal refutes the
+question (for an individual, the model is read at its element alone).
+Only then is the query system built and searched, and the search answers
+by its status: a SAT completion passes canonical.check_completion, but no
+model is built.  So the cost of a truth question outside the search
+follows its goal, not the KB.  `kb_satisfiable` and `concept_satisfiable`
+always search: their verdicts carry the trace and the model of their own
+run, the model built on its first read unless the self-check built and
+checked it.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from .constraints import (
 )
 from .semantics import Assignment, Interpretation, eval_concept, holds_at, is_model
 from .syntax import (
-    And, Concept, ConceptAssertion, FRESH_INDIVIDUAL, KnowledgeBase, Not, TOP,
-    to_simple_form,
+    BOTTOM, TOP, And, AtMost, Concept, ConceptAssertion, FRESH_INDIVIDUAL, KnowledgeBase,
+    Not, to_simple_form,
 )
 from .tableau import (
     MUTED_TRACE, CompletionResult, Guards, SearchStats, Trace, complete, detect_clash,
+    exceeds,
 )
 
 
@@ -174,13 +181,18 @@ def _reserved(kb: KnowledgeBase) -> bool:
     return session.reserved
 
 
-def _query_system(kb: KnowledgeBase, goal: ConceptAssertion | None) -> ConstraintSystem:
+def _query_system(
+    kb: KnowledgeBase, goal: ConceptAssertion | None, concept: Concept | None = None,
+) -> ConstraintSystem:
     """kb's base system plus the goal's membership (kb alone for None): it
-    equals translate_kb of kb plus goal, but for its `kb`, which is None."""
+    equals translate_kb of kb plus goal, but for its `kb`, which is None.
+    `concept` is the goal's simple form, when the caller has it."""
     if goal is None:
         added = () if kb.abox else (Member(Ind(AUX_INDIVIDUAL), TOP),)
     else:
-        added = (Member(Ind(goal.individual), to_simple_form(goal.concept)),)
+        if concept is None:
+            concept = to_simple_form(goal.concept)
+        added = (Member(Ind(goal.individual), concept),)
     return _session(kb).base.extended(added)
 
 
@@ -284,19 +296,59 @@ def concept_satisfiable(
     return _decide(kb, _fresh_goal(_reserved(kb), c), guards, trace, self_check)
 
 
+def _clashes_at_goal(kb: KnowledgeBase, goal: ConceptAssertion, concept: Concept) -> bool:
+    """The pre-search step: does kb plus goal clash at the goal's object?
+
+    It reads kb's session base, not a query system: `concept`, goal's
+    simple form, is looked up in the base's closed table, and the clash
+    test runs on the base's label at the goal's object with the goal's bit
+    OR'd in.  A goal with no id of its own is read through the clash it
+    can bring: a `(not A)` through A's id, BOTTOM, and an `atmost` through
+    the object's successors.  So the answer equals the clash test at the
+    goal's object on the query system, and it extends no system and grows
+    no table."""
+    base = _session(kb).base
+    table = base.concept_table()
+    at = Ind(goal.individual)
+    have = base.label(at)
+    i = table.ids.get(concept)
+    if i is not None:
+        have |= 1 << i
+    elif type(concept) is Not:
+        partner = table.ids.get(concept.concept)
+        if partner is not None and have >> partner & 1:
+            return True
+    elif concept == BOTTOM or type(concept) is AtMost and exceeds(base, at, concept):
+        return True
+    return detect_clash(base, {at: have}) is not None
+
+
 def _true_iff_unsat(
-    kb: KnowledgeBase, goal: ConceptAssertion, guards: Guards | None
+    kb: KnowledgeBase, goal: ConceptAssertion, guards: Guards | None,
+    decision: Interpretation | str | None = None,
 ) -> TruthVerdict:
     """True iff kb plus goal, the assertion that a counterexample to a
-    question would satisfy, is unsatisfiable; None when a guard fired.  A
-    clash at the goal's object answers True with no search.  A search
-    answers by its status alone: its completion is checked, but no model
-    is built."""
-    system = _query_system(kb, goal)
-    at = Ind(goal.individual)
-    if detect_clash(system, {at: system.label(at)}) is not None:
+    question would satisfy, is unsatisfiable; None when a guard fired.
+
+    The steps come cheapest first.  A clash at the goal's object, found by
+    the pre-search step on the session's base, answers True.  Then
+    `decision`, kb's stored one when the caller passes it (see _answer).
+    Only then is the query system built, and a search answers by its
+    status alone (its first clash test scans the whole system, so the goal
+    is not tested on it apart): its completion is checked, but no model is
+    built."""
+    concept = to_simple_form(goal.concept)
+    if _clashes_at_goal(kb, goal, concept) or decision is _UNSAT:
         return TruthVerdict(True)
-    result = complete(system, guards, MUTED_TRACE)
+    if decision is not None:
+        element = decision.individuals.get(goal.individual)  # None: the fresh one
+        if element is None:
+            refuted = bool(eval_concept(decision, goal.concept))
+        else:
+            refuted = holds_at(decision, goal.concept, element)
+        if refuted:
+            return TruthVerdict(False)
+    result = complete(_query_system(kb, goal, concept), guards, MUTED_TRACE)
     if result.status == "resource-exceeded":
         return TruthVerdict(None, result.guard)
     if result.status == "sat":
@@ -307,24 +359,16 @@ def _true_iff_unsat(
 def _answer(
     kb: KnowledgeBase, goal: ConceptAssertion, guards: Guards | None
 ) -> TruthVerdict:
-    """_true_iff_unsat, answered by kb's stored decision when it settles the
-    question.  An inconsistent kb entails everything.  A model of kb that
-    satisfies goal is a counterexample: for an individual, as it stands,
-    which takes evaluating goal's concept at the individual's element only;
-    for the fresh individual, with a new element that copies one in goal's
-    extension (its labels and outgoing pairs), which keeps every concept's
-    extension and the unique names."""
-    decision = _session(kb).decision
-    if decision is _UNSAT:
-        return TruthVerdict(True)
-    if decision is not None:
-        if goal.individual == FRESH_INDIVIDUAL:
-            refuted = bool(eval_concept(decision, goal.concept))
-        else:
-            refuted = holds_at(decision, goal.concept, decision.individuals[goal.individual])
-        if refuted:
-            return TruthVerdict(False)
-    return _true_iff_unsat(kb, goal, guards)
+    """_true_iff_unsat with kb's stored decision, read after the pre-search
+    step (whose True answer needs no decision) and before any search.  An
+    inconsistent kb entails everything.  A model of kb that satisfies goal
+    is a counterexample: for an individual of the model, as it stands,
+    which takes evaluating goal's concept at the individual's element only
+    (a KB object may name one like the fresh individual); for the fresh
+    individual, with a new element that copies one in goal's extension
+    (its labels and outgoing pairs), which keeps every concept's extension
+    and the unique names."""
+    return _true_iff_unsat(kb, goal, guards, _session(kb).decision)
 
 
 def subsumed_by(
@@ -352,8 +396,9 @@ def instance_checks(
     its canonical model has passed is_model, so an individual outside c in
     that model is a sound non-instance and needs no tableau run of its own
     (model-based retrieval pruning).  The remaining individuals, and all of
-    them when deciding kb hit a guard, get an instance check run each.  A
-    kb without individuals makes no run."""
+    them when deciding kb hit a guard, get an instance check each: the
+    pre-search step, and a run only when it finds no clash at the
+    individual.  A kb without individuals makes no run."""
     session = _session(kb)
     names = [o.name for o in session.base.objects()]
     if not names:
@@ -378,7 +423,8 @@ def instances(
     kb: KnowledgeBase, c: Concept, guards: Guards | None = None
 ) -> frozenset[str]:
     """The individuals provably in c, from instance_checks (one decision of
-    kb, then a run only for the individuals its model puts in c).  Raises
+    kb, then for the individuals its model puts in c the pre-search step
+    and, where it finds no clash, a run).  Raises
     InconclusiveError if any individual's check hits a guard, since UNKNOWN
     is not "not a member"."""
     checks = instance_checks(kb, c, guards)

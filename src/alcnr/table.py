@@ -12,10 +12,15 @@ A table starts open, holding only the concepts a system was built from
 subconcept of its concepts has an id, and each id is described by what the
 rules and the clash test read (its kind, the ids of its parts, the id of
 its complement) and by its rank, its position in `concept_key` order.
-Iterating ids by rank is key order.  Every closed table, closed or grown,
-is finished by one step that ranks all its ids by flat keys, each
-concept's key written out in prefix order, which compare in time linear in
-depth where nested key tuples take quadratic time.
+Iterating ids by rank is key order, and `order` lists the ids so.  Every
+closed table, closed or grown, is finished by one step that ranks its ids
+by flat keys, each concept's key written out in prefix order, which
+compare in time linear in depth where nested key tuples take quadratic
+time.  A closed table's ids are already in order, so growth sorts only the
+new ids and merges them in by binary search: it builds flat keys for the
+new ids and the O(log n) old ones the search compares, not for every id
+(copying the arrays and reading `rank` off the order stay linear, in C
+and in one pass).
 
 A table is never changed once a system holds it, so systems share it freely
 (across threads too); the search, each step of which derives a system from
@@ -23,6 +28,8 @@ the last, adds no concept and so keeps one table.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .syntax import Concept
 
@@ -48,13 +55,13 @@ class ConceptTable:
     `some`'s concept) and `right` (an `and`/`or`'s right), -1 when absent,
     and `parts`, their bits (a restriction's role and count are read off
     its concept); `complement`, the id of `(not A)` for a name A and of A
-    for `(not A)`, or -1; and `rank`.  `kinds[k]` has the bits of every id
-    of kind k; `paired`, those of every id with a complement; `bottom` is
-    BOTTOM's bit, or 0."""
+    for `(not A)`, or -1; `rank`; and `order`, the ids by rank.  `kinds[k]`
+    has the bits of every id of kind k; `paired`, those of every id with a
+    complement; `bottom` is BOTTOM's bit, or 0."""
 
     __slots__ = (
         "concepts", "ids", "closed", "left", "right", "parts", "complement",
-        "rank", "kinds", "paired", "bottom",
+        "rank", "order", "kinds", "paired", "bottom",
     )
 
     def __init__(self, concepts=()):
@@ -123,18 +130,22 @@ class ConceptTable:
 
     def grown(self, concepts) -> "ConceptTable":
         """A new table: this one plus the given concepts, a whole batch in
-        one copy, closed under subconcepts if this one is closed."""
-        return self._copy(self.closed)._finished(concepts)
+        one copy, closed under subconcepts if this one is closed, its new
+        ids merged into this one's order."""
+        return self._copy(self.closed)._finished(concepts, self.order if self.closed else ())
 
     def closed_copy(self) -> "ConceptTable":
         """A closed table with this one's ids, and new ids for the
         subconcepts it lacks."""
         return self._copy(True)._finished(self.concepts)
 
-    def _finished(self, concepts) -> "ConceptTable":
+    def _finished(self, concepts, ranked: tuple = ()) -> "ConceptTable":
         """This copy, being built, with the given concepts; a closed one goes
-        through the step that finishes every closed table: ids ranked by
-        flat keys, built for it and dropped, and arrays frozen as tuples:
+        through the step that finishes every closed table.  The ids after
+        `ranked`, the ids in order before it, are sorted by flat keys and
+        merged into it by binary search; the flat keys are built only for
+        the ids sorted and compared, and dropped.  `rank` is then read off
+        the order in one pass, and the arrays are frozen as tuples:
         smaller, read-only, and, but for `concepts`, of ints only, which the
         garbage collector stops tracking."""
         if not self.closed:
@@ -143,12 +154,23 @@ class ConceptTable:
             return self
         for c in concepts:
             self._id(c)
-        flat = [None] * len(self.concepts)
-        for i in range(len(flat)):
-            if flat[i] is None:
-                _flat_key(self, i, flat)
-        order = sorted(range(len(flat)), key=flat.__getitem__)
-        self.rank = tuple(sorted(range(len(flat)), key=order.__getitem__))
+        n = len(self.concepts)
+        flat = [None] * n
+
+        def key(i):
+            return flat[i] or _flat_key(self, i, flat)
+
+        order, lo = [], 0
+        for i in sorted(range(len(ranked), n), key=key):
+            at = bisect_left(ranked, flat[i], lo, key=key)
+            order += ranked[lo:at]
+            order.append(i)
+            lo = at
+        order += ranked[lo:]
+        rank = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+        self.order, self.rank = tuple(order), tuple(rank)
         self.concepts, self.left, self.right = map(tuple, (self.concepts, self.left, self.right))
         self.parts, self.complement, self.kinds = map(tuple, (self.parts, self.complement, self.kinds))
         return self

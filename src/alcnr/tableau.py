@@ -56,7 +56,7 @@ from .constraints import (
     Constraint, ConstraintSystem, Global, Ind, Member, Object, RoleLink,
     Siblings, Var, constraint_str, object_str,
 )
-from .syntax import Role, is_simple, render_concept
+from .syntax import AtMost, Role, is_simple, render_concept
 from .table import (
     ALL, AND, ATLEAST, ATMOST, NAME, OR, SOME, ConceptTable, bit_ids,
 )
@@ -122,7 +122,9 @@ class Guards:
 
     Worst-case completions are exponentially large in the knowledge-base
     size (O(2^(4n))), so the caps exist as a practical backstop; the
-    defaults are generous for desk-scale inputs.
+    defaults are generous for desk-scale inputs.  `max_constraints` caps
+    what a system stores (`ConstraintSystem.stored`), where the `!=` pairs
+    of an `atleast` application's variables are one sibling group.
     """
 
     max_variables: int = 1000
@@ -438,9 +440,12 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
     o : (atmost n R) with n+1 pairwise-separated R-successors.  `among`
     restricts the scan to the given objects.  A dict restricts it further
     to the label concepts it maps each object to, as table-id bits, taken
-    in its own order: the search passes, in object order, what a step
+    in its own order, and tests their complement partners against
+    `label(o) | bits`: the search passes, in object order, what a step
     added and the `atmost` concepts of an object that gained successors,
-    since the system the step extends has no clash.
+    since the system the step extends has no clash; the services pass the
+    label of a goal's object with the goal's bits OR'd in, which the
+    system itself does not hold.
     """
     table = system.concept_table()
     label = system.label
@@ -457,7 +462,7 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
             return ClashReport("bottom", o, "BOTTOM", table.bottom)
         found = bits & paired
         if found:
-            have, first = label(o), None
+            have, first = label(o) | bits, None
             while found:  # a pair found from one end is not looked up from the other
                 low = found & -found
                 found ^= low
@@ -473,11 +478,17 @@ def detect_clash(system: ConstraintSystem, among=None) -> ClashReport | None:
         found = bits & atmosts
         if found:
             for c in _by_rank(bit_ids(found), table.rank):
-                succ = system.role_successors(o, table.concepts[c].role)
-                n = table.concepts[c].count
-                if len(succ) > n and _has_separated_clique(system, succ, n + 1):
+                if exceeds(system, o, table.concepts[c]):
                     return ClashReport("number", o, render_concept(table.concepts[c]), 1 << c)
     return None
+
+
+def exceeds(system: ConstraintSystem, o: Object, atmost: AtMost) -> bool:
+    """Does o have more pairwise-separated successors on atmost's role than
+    its count allows: a number clash, were atmost on o's label?"""
+    succ = system.role_successors(o, atmost.role)
+    n = atmost.count
+    return len(succ) > n and _has_separated_clique(system, succ, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +590,10 @@ class _Searcher:
                     raise _GuardStop("max-branches")
             elif inst.rule == RULE_ATLEAST:
                 # size guards before the k variables are built; every link
-                # and each of the k(k-1)/2 sibling pairs is new, so it is exact
-                k = self._table.concepts[inst.concept].count
-                self._check_sizes(
-                    base.next_var_index + k,
-                    base.size + k * len(self._table.concepts[inst.concept].role.names) + k * (k - 1) // 2,
-                )
+                # and their one sibling group are new, so it is exact
+                c = self._table.concepts[inst.concept]
+                k = c.count
+                self._check_sizes(base.next_var_index + k, base.stored + k * len(c.role.names) + 1)
             nxt, added = _apply(base, inst, i)
             if self.guards.debug_checks:
                 self._check_simple(added)
@@ -745,7 +754,7 @@ class _Searcher:
     def _step(self, new, added, inst, i, gained) -> ClashReport | None:
         """Guard checks, the clash check on what the step touched, and the
         trace line for one application; returns the clash, if any."""
-        self._check_sizes(new.next_var_index, new.size)
+        self._check_sizes(new.next_var_index, new.stored)
         clash = detect_clash(new, gained)
         if self.trace.enabled:
             parts = [f"{inst.rule} on {object_str(inst.target)}: "

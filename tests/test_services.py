@@ -4,12 +4,15 @@ import random
 import pytest
 
 from alcnr import (
-    And, AtMost, BOTTOM, ConceptAssertion, Guards, InconclusiveError,
+    And, AtLeast, AtMost, BOTTOM, ConceptAssertion, Guards, InconclusiveError,
     KnowledgeBase, Name, Not, Some, TOP, TruthVerdict, UnknownIndividualError,
     concept_satisfiable, instance_checks, instance_of, instances, is_model,
-    kb_satisfiable, parse_kb, role, subsumed_by, translate_kb,
+    kb_satisfiable, parse_kb, role, subsumed_by, to_simple_form, translate_kb,
 )
 from alcnr import render_interpretation, services
+from alcnr.constraints import ConstraintSystem, Ind
+from alcnr.table import ConceptTable
+from alcnr.tableau import detect_clash
 from alcnr.services import (
     augment_for_concept_sat, augment_for_instance, augment_for_subsumption,
 )
@@ -242,46 +245,116 @@ class TestSession:
         ]
 
     def test_each_query_system_is_the_translation_of_its_kb(self, monkeypatch):
-        """The system a question is decided on, by the clash test at its goal
-        or by a search, is translate_kb of the KB plus the goal, but for its
-        `kb`: that is attached only when a model is built, and the model
-        then satisfies the augmented KB."""
+        """The system a question is searched on is translate_kb of the KB
+        plus the goal, but for its `kb`: that is attached only when a model
+        is built, and the model then satisfies the augmented KB.  The
+        pre-search step, on every goal, answers as the clash test at the
+        goal's object on that system, built here by translate_kb; a truth
+        question it settles makes no search."""
         systems = []
-        clash_test, searched = services.detect_clash, services.complete
-
-        def detect_clash(system, among=None):
-            systems.append(system)
-            return clash_test(system, among)
+        searched = services.complete
 
         def complete(system, guards=None, trace=None):
             systems.append(system)
             return searched(system, guards, trace)
 
-        monkeypatch.setattr(services, "detect_clash", detect_clash)
         monkeypatch.setattr(services, "complete", complete)
         rng = random.Random(68)
         guards = Guards(max_variables=60, max_constraints=4000, max_branches=1500)
+        settled = 0
         for kb in self._kbs():
             c, d = random_concept(rng, 2), random_concept(rng, 2)
+            asserted = {}  # each individual's asserted concepts, whose goals clash
+            for x in sorted(kb.abox, key=repr):
+                if isinstance(x, ConceptAssertion):
+                    asserted.setdefault(x.individual, []).append(x.concept)
             # the decision comes last, so that no stored one answers a question
             calls = [
-                (lambda: concept_satisfiable(kb, c, guards), augment_for_concept_sat(kb, c)),
-                (lambda: subsumed_by(kb, c, d, guards), augment_for_subsumption(kb, c, d)),
-                *((lambda a=a: instance_of(kb, a, c, guards), augment_for_instance(kb, a, c))
-                  for a in sorted(kb.individuals())),
-                (lambda: kb_satisfiable(kb, guards), kb),
+                (lambda: concept_satisfiable(kb, c, guards), augment_for_concept_sat(kb, c),
+                 services._fresh_goal(False, c), False),
+                (lambda: subsumed_by(kb, c, d, guards), augment_for_subsumption(kb, c, d),
+                 services._subsumption_goal(False, c, d), True),
+                *((lambda a=a, x=x: instance_of(kb, a, x, guards), augment_for_instance(kb, a, x),
+                   services._instance_goal(True, a, x), True)
+                  for a in sorted(kb.individuals()) for x in (c, *asserted.get(a, ())[:1])),
+                (lambda: kb_satisfiable(kb, guards), kb, None, False),
             ]
-            for call, augmented in calls:
+            for call, augmented, goal, truth in calls:
+                want = translate_kb(augmented)
+                clash = False
+                if goal is not None:
+                    at = Ind(goal.individual)
+                    clash = detect_clash(want, {at: want.label(at)}) is not None
+                    assert services._clashes_at_goal(
+                        kb, goal, to_simple_form(goal.concept)) is clash
                 answer = call()
-                got, want = systems[0], translate_kb(augmented)
-                assert all(system is got for system in systems)
+                if truth and clash:
+                    assert answer.value is True and systems == []
+                    settled += 1
+                    continue
+                (got,) = systems
                 assert got.kb is None
                 assert got.dump() == want.dump()
                 assert got.objects() == want.objects()
-                assert (got.size, got.next_var_index) == (want.size, want.next_var_index)
+                assert (got.size, got.stored, got.next_var_index) == \
+                    (want.size, want.stored, want.next_var_index)
                 if getattr(answer, "is_sat", False):
                     assert is_model(answer.interpretation, augmented)
                 systems.clear()
+        assert settled > 100
+
+    @staticmethod
+    def _forbidding(monkeypatch) -> None:
+        """Make building a query system, extending a system and growing a
+        table raise."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a settled question built or grew something")
+
+        monkeypatch.setattr(services, "_query_system", forbidden)
+        monkeypatch.setattr(ConstraintSystem, "extended", forbidden)
+        monkeypatch.setattr(ConceptTable, "grown", forbidden)
+
+    @pytest.mark.parametrize("decided", [False, True])
+    def test_a_settled_question_builds_and_grows_nothing(self, monkeypatch, decided):
+        """A clash at the goal's object answers True from the session's base,
+        with or without a stored decision."""
+        kb21, teachers = parse_kb(EX21_TEXT), teachers_kb(50)
+        for kb in (kb21, teachers):
+            if decided:
+                assert kb_satisfiable(kb, self_check=True).status == "sat"
+            else:
+                services._session(kb)  # the session's own translation grows tables
+        self._forbidding(monkeypatch)
+        assert instance_of(kb21, "cs156", Name("Course")).value is True
+        assert instance_of(kb21, "cs156", TOP).value is True  # the goal is BOTTOM
+        # the goal (atmost 0 TEACHES), new to the table, meets john's link
+        assert instance_of(kb21, "john", AtLeast(1, role("TEACHES"))).value is True
+        for i in (0, 17, 49):
+            assert instance_of(teachers, f"c{i}", Name("Course")).value is True
+            assert instance_of(teachers, f"t{i}", AtLeast(1, role("TEACHES"))).value is True
+        if decided:  # the model refutes the teachers; each course clashes
+            assert instances(teachers, Name("Course")) == frozenset(f"c{i}" for i in range(50))
+
+    def test_a_complement_goal_without_an_id_is_settled_locally(self, monkeypatch):
+        """instance_of(a, A) has the goal `(not A)`, which occurs nowhere in
+        the KB: it is read through A's id."""
+        kb = parse_kb("(instance a A) (instance b B)")
+        table = services._session(kb).base.concept_table()
+        assert Not(Name("A")) not in table.ids
+        self._forbidding(monkeypatch)
+        assert instance_of(kb, "a", Name("A")).value is True
+        assert instance_of(kb, "a", Not(Not(Name("A")))).value is True
+
+    def test_a_base_clash_at_the_goal_answers_true(self, monkeypatch):
+        """A KB that clashes at the goal's object, whatever the goal, entails
+        every assertion on it, with no decision and no search."""
+        kb = parse_kb("(instance a A) (instance a (not A)) (instance a B) (instance b C)")
+        services._session(kb)
+        self._forbidding(monkeypatch)
+        runs = TestModelPrunedRetrieval._counting(monkeypatch)
+        for goal in (Name("B"), Name("Ghost"), Not(Name("B")), Some(role("R"), Name("C"))):
+            assert instance_of(kb, "a", goal).value is True
+        assert runs == []
 
     def test_a_kb_is_translated_once(self, monkeypatch):
         translations = []
@@ -313,6 +386,16 @@ class TestSession:
         for ask in (lambda: subsumed_by(bad, TOP, TOP), lambda: concept_satisfiable(bad, TOP)):
             with pytest.raises(ValueError, match="reserved"):
                 ask()
+
+    def test_an_individual_with_the_fresh_name_is_read_at_its_element(self):
+        """A KB object may name an individual like the fresh one (the
+        parser rejects it); a stored model is then read at its element, not
+        searched for a counterexample anywhere."""
+        kb = parse_kb("(implies A B) (instance a A) (instance c C)")
+        kb = KnowledgeBase(kb.tbox, kb.abox | {ConceptAssertion("__fresh", Name("A"))})
+        assert kb_satisfiable(kb, self_check=True).status == "sat"
+        assert instance_of(kb, "__fresh", Name("B")).value is True
+        assert instance_of(kb, "__fresh", Name("C")).value is False
 
     def test_a_stored_decision_answers_as_a_search_would(self, monkeypatch):
         runs = TestModelPrunedRetrieval._counting(monkeypatch)

@@ -13,6 +13,7 @@ from alcnr import (
     subconcepts, subsumed_by, to_simple_form, translate_kb,
 )
 from alcnr import services
+from alcnr import table as table_module
 from alcnr.table import ConceptTable, bit_ids
 from _generators import random_concept, random_kbs
 from conftest import EX21_TEXT, cli
@@ -43,7 +44,7 @@ def _deep_chain(depth):
     return chain
 
 
-_ARRAYS = ("concepts", "left", "right", "parts", "complement", "rank", "kinds")
+_ARRAYS = ("concepts", "left", "right", "parts", "complement", "rank", "order", "kinds")
 
 
 class TestRanks:
@@ -141,6 +142,19 @@ class TestGrowth:
         assert len(calls) == 1
         assert all(c not in table.ids and c in child.concept_table().ids for c in new)
         assert child.member_concepts(Ind("john")) == parent.member_concepts(Ind("john")) | set(new)
+
+    def test_growth_builds_flat_keys_for_the_new_ids_and_a_binary_search(self, monkeypatch):
+        """Growing a 3,000-id table by one name builds the flat keys of the
+        name and of the ids its merge compares: O(log n), not n."""
+        table = ConceptTable([Name(f"A{i}") for i in range(3000)]).closed_copy()
+        calls = []
+        flat_key = table_module._flat_key
+        monkeypatch.setattr(table_module, "_flat_key",
+                            lambda *args: calls.append(args[1]) or flat_key(*args))
+        grown = table.grown([Name("A15x")])  # ranked right after A1599
+        assert len(calls) <= 2 + len(table.concepts).bit_length()
+        assert grown.order == tuple(_in_rank_order(grown)) == tuple(_in_key_order(grown))
+        assert grown.rank[3000] == grown.rank[table.ids[Name("A1599")]] + 1
 
     def test_a_known_concept_shares_the_table(self):
         parent = translate_kb(parse_kb(EX21_TEXT))

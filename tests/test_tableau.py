@@ -263,8 +263,8 @@ class TestComplete:
         # 1200 variables and 719,400 pairs: the variable guard is checked first
         assert run(1200, Guards()) == ("max-variables", "step 1: guard: max-variables")
         assert run(1200, Guards(max_constraints=40_000))[0] == "max-variables"
-        # 300 variables fit; their 44,850 pairs do not
-        assert run(300, Guards(max_constraints=40_000)) == \
+        # 1000 variables fit; their 1,000 links and sibling group do not
+        assert run(1000, Guards(max_constraints=1000)) == \
             ("max-constraints", "step 1: guard: max-constraints")
 
     def test_many_independent_individuals_are_decided(self):
@@ -611,24 +611,46 @@ class TestSiblingGroups:
         assert peak < 2_000_000
 
     def test_atleast_1000_under_max_variables_1000(self):
-        # `size` counts the 499,500 sibling pairs, though none is stored, so
-        # the constraint guard stops the application that the variable guard
-        # would let through
+        # the constraint guard charges what is stored: 1,000 links and one
+        # sibling group, not the 499,500 `!=` pairs that `size` counts
         def decide(guards, trace=None):
             kb = parse_kb("(instance a (atleast 1000 R))")
             return kb_satisfiable(kb, guards, trace, self_check=True)
 
+        verdict = decide(Guards())
+        assert verdict.status == "sat"
+        assert len(verdict.interpretation.domain) == 1001
+        # below the stored count, the guard stops the application before it
         trace = Trace(limit=None)
-        verdict = decide(Guards(max_variables=1000), trace)
+        verdict = decide(Guards(max_constraints=1001), trace)
         assert (verdict.status, verdict.guard) == ("unknown", "max-constraints")
         assert trace.lines() == ["step 1: guard: max-constraints"]
         assert verdict.stats.branches == 0
-        verdict = decide(Guards(max_variables=1000, max_constraints=600_000))
-        assert verdict.status == "sat"
-        assert len(verdict.interpretation.domain) == 1001
-        for constraints in (200_000, 600_000):
+        assert decide(Guards(max_constraints=1002)).status == "sat"
+        for constraints in (1001, 200_000):
             verdict = decide(Guards(max_variables=999, max_constraints=constraints))
             assert (verdict.status, verdict.guard) == ("unknown", "max-variables")
+
+    def test_the_stored_count_follows_the_indexes(self):
+        """`stored` is `size` with each sibling group counted once instead of
+        as its `!=` pairs, through extensions and merges alike."""
+        seen = set()
+        for text in ("(instance a (and (atleast 3 R) (atmost 2 R)))",
+                     "(instance a (and (atleast 2 R) (atleast 2 (and R S)) (atmost 2 R)))",
+                     "(related a b R) (instance a (and (atleast 3 R) (atmost 1 R)))"):
+            system = translate_kb(parse_kb(text))
+            stack = [system]
+            while stack:
+                system = stack.pop()
+                groups = set().union(*map(system.groups_of, system.objects()))
+                assert system.stored == system.size - len(system.distinct_pairs()) + len(groups)
+                inst = first_rule_instance(system)
+                if inst is None or detect_clash(system) is not None:
+                    continue
+                for i in range(len(inst.choices) or 1):
+                    stack.append(apply_rule_instance(system, inst, i if inst.choices else None))
+                    seen.add(inst.rule)
+        assert {"atleast", "atmost"} <= seen
 
     def test_open_choice_points_keep_only_the_label_index(self):
         import tracemalloc

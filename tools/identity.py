@@ -28,12 +28,15 @@ Families:
                 `alcnr.services` on one KB object, in this order:
                 `kb_satisfiable` (self-check, full trace),
                 `concept_satisfiable` of C (full trace), `subsumed_by` C D,
-                `instance_of` C for each individual, `instances` of D, where
-                C and D are the first two of the KB's concept names and A, B
+                `instance_of` C for each individual, `instance_of` X for
+                each individual with a concept assertion, X the least
+                concept asserted on it (so that the goal clashes at its
+                object), `instances` of D, where C and D are the first two
+                of the KB's concept names and A, B
     questions   the same KBs and questions without the first two calls:
-                `subsumed_by`, each `instance_of` and `instances`, asked on
-                a fresh KB object, so that they meet no stored decision
-                (until `instances` makes one)
+                `subsumed_by`, both kinds of `instance_of` and `instances`,
+                asked on a fresh KB object, so that they meet no stored
+                decision (until `instances` makes one)
     wide        n-ary and nested `and`, `or` and mixed forms (and one under
                 `some`) of width or depth 10, 25 and 60, as an assertion,
                 either side of an inclusion, and the goal, and the nested
@@ -221,9 +224,9 @@ def _ask(kb, family: str, concepts=None) -> tuple[dict, list[str]]:
     KB object, a fresh one for questions, with C and D the given concepts
     or else the KB's first two names."""
     from alcnr import (
-        Guards, KnowledgeBase, Name, Trace, TruthVerdict, concept_satisfiable,
-        instance_of, instances, is_model, kb_satisfiable, render_interpretation,
-        subsumed_by,
+        ConceptAssertion, Guards, KnowledgeBase, Name, Trace, TruthVerdict,
+        concept_key, concept_satisfiable, instance_of, instances, is_model,
+        kb_satisfiable, render_interpretation, subsumed_by,
     )
 
     if family == "questions":
@@ -231,9 +234,16 @@ def _ask(kb, family: str, concepts=None) -> tuple[dict, list[str]]:
     guards = Guards(debug_checks=True, **GUARDS)
     c, d = concepts or (Name(n) for n in [*sorted(kb.concept_names()), "A", "B"][:2])
     traces = Trace(limit=None), Trace(limit=None)
+    asserted = {}  # one concept asserted on each individual: its goal clashes there
+    for x in kb.abox:
+        if isinstance(x, ConceptAssertion):
+            have = asserted.get(x.individual)
+            if have is None or concept_key(x.concept) < concept_key(have):
+                asserted[x.individual] = x.concept
     calls = [
         lambda: subsumed_by(kb, c, d, guards),
         *(lambda a=a: instance_of(kb, a, c, guards) for a in sorted(kb.individuals())),
+        *(lambda a=a: instance_of(kb, a, asserted[a], guards) for a in sorted(asserted)),
         lambda: instances(kb, d, guards),
     ]
     if family == "services":
